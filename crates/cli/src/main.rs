@@ -129,16 +129,16 @@ USAGE:
   needle loadgen [--scenario S|all] [--seed N] [--shards N] [--workers N]
                  [--no-adaptive-admission] [--out PATH] [--check]
       Deterministic open-loop load generation against a virtual-time
-      simulation of the hardened serving stack (EDF queue + expired
-      sweep, AIMD adaptive admission, brownout ladder, metastable
-      detector + shed pulse). Arrivals follow the scenario curve
-      (steady | diurnal | burst | adversarial | retry-storm) regardless
-      of service health; clients retry under per-client budgets with
-      jittered exponential backoff, and the retry-storm scenario adds a
-      misbehaving-client population with near-zero backoff. retry-storm
-      always runs the hardened and baseline (FIFO + queue-full only)
-      models side by side; other scenarios honour
-      --no-adaptive-admission. Reports offered load, goodput, the shed
+      simulation that runs the serving stack's own service core per
+      shard (EDF queue + expired sweep, AIMD adaptive admission,
+      brownout ladder, metastable detector + shed pulse). Arrivals
+      follow the scenario curve (steady | diurnal | burst | adversarial
+      | retry-storm) regardless of service health; clients retry under
+      per-client budgets with jittered exponential backoff, and the
+      retry-storm scenario adds a misbehaving-client population with
+      near-zero backoff. retry-storm always runs the hardened and
+      baseline (queue-full only) cores side by side; other scenarios
+      honour --no-adaptive-admission. Reports offered load, goodput, the shed
       breakdown (queue-full / throttled / unmeetable), and exact
       p50/p99/p999 latency per phase. Same seed → identical report
       (modulo the generated_unix_ms stamp). --out writes the

@@ -82,8 +82,9 @@ pub use loadgen::{
     PhaseStats, Scenario,
 };
 pub use overload::{
-    AimdAdmission, AimdConfig, BrownoutConfig, BrownoutLadder, BrownoutLevel,
+    Admitted, AimdAdmission, AimdConfig, BrownoutConfig, BrownoutLadder, BrownoutLevel,
     BrownoutTransition, DeadlineQueue, MetastableConfig, MetastableDetector, MetastableSignal,
+    Next, ServiceCore, Tick,
 };
 pub use supervisor::{
     peek_journal, run_supervised, CampaignOptions, CampaignReport, CampaignUnit, UnitKind,

@@ -11,36 +11,41 @@
 //! retry storm.
 //!
 //! The service under load is a single-threaded discrete-event simulation
-//! in virtual microseconds — no threads, no wall clock — built from the
-//! *same* overload-control components the threaded service runs
-//! ([`DeadlineQueue`], [`AimdAdmission`], [`BrownoutLadder`],
-//! [`MetastableDetector`]; see [`crate::overload`]). Same seed → identical
-//! report, bit for bit, modulo the envelope's `generated_unix_ms`.
+//! in virtual microseconds — no threads, no wall clock — that runs one
+//! [`ServiceCore`] per shard: the same admission and overload-control core
+//! the threaded [`Service`](crate::serve::Service) runs (see
+//! [`crate::overload`]). This module keeps only what the simulation adds
+//! around it: arrival curves, client retries, the service-time cost model,
+//! governor re-rank maintenance, and per-phase accounting. Same seed →
+//! identical report, bit for bit, modulo the envelope's
+//! `generated_unix_ms`.
 //!
-//! Two service models are simulated:
+//! Two service configurations of that core are simulated:
 //!
-//! * **hardened** — EDF queue with expired-entry sweep, AIMD adaptive
-//!   admission, the unmeetable-deadline estimate, the brownout ladder, and
-//!   the metastable detector + shed pulse: the post-hardening stack.
-//! * **baseline** — bounded FIFO with expiry checked at pop and
-//!   queue-full as the only admission signal: the pre-hardening stack
-//!   (`--no-adaptive-admission`).
+//! * **hardened** — AIMD adaptive admission with the unmeetable-deadline
+//!   estimate, the brownout ladder, and the metastable detector + shed
+//!   pulse: the post-hardening stack.
+//! * **baseline** — all three overload options off, so queue-full is the
+//!   only refusal: the pre-hardening stack (`--no-adaptive-admission`).
+//!   Every attempt's deadline is its arrival plus one fixed budget, so
+//!   the EDF queue serves it in FIFO order.
 //!
 //! The [`Scenario::RetryStorm`] scenario always runs both side by side so
 //! the report carries the direct comparison the CI gate asserts: hardened
 //! goodput holds through the storm and recovers; baseline collapses.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::journal::Json;
 use crate::overload::{
-    AimdAdmission, AimdConfig, BrownoutConfig, BrownoutLadder, BrownoutLevel, DeadlineQueue,
-    MetastableConfig, MetastableDetector, MetastableSignal,
+    Admitted, AimdConfig, BrownoutConfig, BrownoutLevel, MetastableConfig, MetastableSignal,
+    ServiceCore,
 };
 use crate::report;
+use crate::serve::{FailReason, MetricsSnapshot, Outcome, ServeConfig, ShedReason};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -242,8 +247,6 @@ const ABORT_RATE_ADVERSARIAL: f64 = 0.25;
 /// Governor re-rank maintenance: period and per-shard worker cost.
 const RERANK_PERIOD_US: u64 = 500_000;
 const RERANK_COST_US: u64 = 2_000;
-/// Metastable shed pulse duration.
-const PULSE_US: u64 = 150_000;
 
 // ---------------------------------------------------------------------------
 // Report types
@@ -619,10 +622,6 @@ struct Attempt {
     /// End-to-end deadline of the original request — a normal client
     /// stops retrying past it.
     giveup_us: u64,
-    /// Set at arrival: this attempt's admission time and deadline.
-    arrival_us: u64,
-    /// This attempt's absolute deadline (arrival + budget).
-    deadline_us: u64,
     /// Is this a retry (for the fresh/retry split)?
     retry: bool,
 }
@@ -636,10 +635,10 @@ enum EvKind {
     /// deadline (`!completed`).
     Done {
         shard: usize,
-        attempt: Attempt,
+        attempt: Admitted<Attempt>,
         completed: bool,
     },
-    /// Overload-control window: ladder tick + metastable window.
+    /// Overload-control window: every shard's core ticks.
     Window,
     /// Governor re-rank maintenance tick.
     Rerank,
@@ -671,50 +670,13 @@ impl Ord for Ev {
     }
 }
 
-enum SimQueue {
-    Edf(DeadlineQueue<Attempt>),
-    Fifo(VecDeque<Attempt>, usize),
-}
-
-impl SimQueue {
-    fn len(&self) -> usize {
-        match self {
-            SimQueue::Edf(q) => q.len(),
-            SimQueue::Fifo(q, _) => q.len(),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        match self {
-            SimQueue::Edf(q) => q.is_full(),
-            SimQueue::Fifo(q, cap) => q.len() >= *cap,
-        }
-    }
-
-    fn push(&mut self, a: Attempt) {
-        match self {
-            SimQueue::Edf(q) => {
-                let deadline = a.deadline_us;
-                q.push(deadline, a).ok();
-            }
-            SimQueue::Fifo(q, _) => q.push_back(a),
-        }
-    }
-
-    fn drain(&mut self) -> Vec<Attempt> {
-        match self {
-            SimQueue::Edf(q) => q.drain_all(),
-            SimQueue::Fifo(q, _) => q.drain(..).collect(),
-        }
-    }
-}
-
+/// One simulated shard: the service core plus the worker pool it feeds.
 struct SimShard {
-    queue: SimQueue,
+    core: ServiceCore<Attempt>,
     free_workers: usize,
-    admission: Option<AimdAdmission>,
-    /// EWMA of observed service times, µs (the unmeetable estimate).
-    ewma_us: f64,
+    /// Fresh arrivals routed here since the last window: the detector's
+    /// offered load (exogenous demand, retries excluded).
+    window_fresh: u64,
 }
 
 /// Per-phase accumulator (latencies kept raw for exact percentiles).
@@ -722,6 +684,42 @@ struct SimShard {
 struct PhaseAcc {
     stats: PhaseStats,
     latencies: Vec<u64>,
+}
+
+/// The service configuration one shard's core runs. Hardened: AIMD with a
+/// tight latency target and slow additive recovery (sustained overload
+/// winds admission down hard, and the wind-down itself is the metastable
+/// state the detector and pulse must break), the brownout ladder, and a
+/// detector whose "normal load" band leaves headroom for post-storm
+/// retries. Baseline: the same core with all three options off — a
+/// bounded queue whose only refusal is queue-full.
+fn shard_serve_config(cfg: &LoadgenConfig, hardened: bool) -> ServeConfig {
+    let baseline = ServeConfig {
+        workers: cfg.workers_per_shard.max(1),
+        queue_depth: cfg.queue_depth.max(1),
+        default_deadline_ms: (cfg.deadline_us / 1_000).max(1),
+        adaptive_admission: None,
+        brownout: None,
+        metastable: None,
+        ..ServeConfig::default()
+    };
+    if !hardened {
+        return baseline;
+    }
+    ServeConfig {
+        adaptive_admission: Some(AimdConfig {
+            target_fraction: 0.35,
+            increase: 0.000_1,
+            ..AimdConfig::default()
+        }),
+        brownout: Some(BrownoutConfig::default()),
+        metastable: Some(MetastableConfig {
+            normal_load_fraction: 3.0,
+            recover_fraction: 0.6,
+            ..MetastableConfig::default()
+        }),
+        ..baseline
+    }
 }
 
 struct Sim<'a> {
@@ -734,52 +732,29 @@ struct Sim<'a> {
     end: u64,
     shards: Vec<SimShard>,
     phases: [PhaseAcc; 3],
-    ladder: BrownoutLadder,
-    level: BrownoutLevel,
-    detector: MetastableDetector,
-    pulse_until: u64,
     timeline: Vec<(u64, String)>,
     rerank_skipped: u64,
     brownout_max_level: u8,
-    metastable_fired: u64,
-    metastable_recovered: u64,
-    /// Fresh arrivals / completions since the last window (the detector's
-    /// offered-vs-goodput view: *exogenous* demand vs goodput).
-    window_fresh: u64,
-    window_completed: u64,
     next_req: u64,
 }
 
 impl<'a> Sim<'a> {
     fn new(cfg: &'a LoadgenConfig, hardened: bool) -> Sim<'a> {
         let seed = cfg.seed ^ if hardened { 0 } else { 0x9E37_79B9_7F4A_7C15 };
-        let shards = (0..cfg.shards.max(1))
-            .map(|_| SimShard {
-                queue: if hardened {
-                    SimQueue::Edf(DeadlineQueue::new(cfg.queue_depth.max(1)))
-                } else {
-                    SimQueue::Fifo(VecDeque::new(), cfg.queue_depth.max(1))
-                },
-                free_workers: cfg.workers_per_shard.max(1),
-                admission: hardened.then(|| {
-                    AimdAdmission::new(AimdConfig {
-                        // Tight latency target + slow additive recovery:
-                        // sustained overload winds admission down hard, and
-                        // the wind-down itself is the metastable state the
-                        // detector + pulse must break.
-                        target_fraction: 0.35,
-                        increase: 0.000_1,
-                        ..AimdConfig::default()
-                    })
-                }),
-                ewma_us: cfg.service_us as f64,
+        let serve = shard_serve_config(cfg, hardened);
+        let shards: Vec<SimShard> = (0..cfg.shards.max(1))
+            .map(|_| {
+                let mut core = ServiceCore::new(&serve);
+                if let Some(level) = cfg.force_brownout {
+                    core.force_level(level);
+                }
+                SimShard {
+                    core,
+                    free_workers: cfg.workers_per_shard.max(1),
+                    window_fresh: 0,
+                }
             })
             .collect();
-        let mut ladder = BrownoutLadder::new(BrownoutConfig::default());
-        if let Some(level) = cfg.force_brownout {
-            ladder.force_level(level);
-        }
-        let level = ladder.level();
         let names = cfg.scenario.phase_names();
         let mut phases: [PhaseAcc; 3] = Default::default();
         for (i, acc) in phases.iter_mut().enumerate() {
@@ -793,26 +768,11 @@ impl<'a> Sim<'a> {
             seq: 0,
             now: 0,
             end: cfg.phase_us * 3,
+            brownout_max_level: shards[0].core.level().as_u8(),
             shards,
             phases,
-            ladder,
-            level,
-            detector: MetastableDetector::new(MetastableConfig {
-                // Post-storm offered load includes normal-client retries,
-                // so "normal" needs headroom above the pre-storm baseline;
-                // the storm itself is still far outside the band.
-                normal_load_fraction: 3.0,
-                recover_fraction: 0.6,
-                ..MetastableConfig::default()
-            }),
-            pulse_until: 0,
             timeline: Vec::new(),
             rerank_skipped: 0,
-            brownout_max_level: level.as_u8(),
-            metastable_fired: 0,
-            metastable_recovered: 0,
-            window_fresh: 0,
-            window_completed: 0,
             next_req: 0,
         }
     }
@@ -894,15 +854,15 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Draw this attempt's service time, applying the brownout-dependent
-    /// cost model.
-    fn draw_service(&mut self, req: u64) -> u64 {
+    /// Draw this attempt's service time, applying the cost model of the
+    /// optional work the shard's brownout `level` still runs.
+    fn draw_service(&mut self, req: u64, level: BrownoutLevel) -> u64 {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let mut s = self.cfg.service_us as f64 * (0.5 + u);
-        if req.is_multiple_of(self.cfg.sample_period.max(1)) && !self.level.sheds_sampling() {
+        if req.is_multiple_of(self.cfg.sample_period.max(1)) && !level.sheds_sampling() {
             s *= SAMPLE_FACTOR;
         }
-        if req.is_multiple_of(2) && !self.level.sheds_offload() {
+        if req.is_multiple_of(2) && !level.sheds_offload() {
             let a: f64 = self.rng.gen_range(0.0..1.0);
             if a < self.abort_rate(self.now) {
                 s *= ABORT_PENALTY;
@@ -930,46 +890,20 @@ impl<'a> Sim<'a> {
         self.schedule(t + wait, EvKind::Retry(a));
     }
 
-    /// Start queued work on any free worker of `shard`.
+    /// Start queued work on any free worker of `shard`. The core sweeps
+    /// expired entries in bulk before each dequeue; their clients retry.
     fn dispatch(&mut self, si: usize) {
         let now = self.now;
-        loop {
-            if self.shards[si].free_workers == 0 {
-                return;
+        while self.shards[si].free_workers > 0 {
+            let next = self.shards[si].core.next(now);
+            let pi = self.phase_idx(now);
+            self.phases[pi].stats.expired += next.expired.len() as u64;
+            for a in next.expired {
+                self.client_retry(a.job, now);
             }
-            // Expired-entry handling differs by discipline: EDF sweeps in
-            // bulk before any dequeue; FIFO discovers corpses one pop at a
-            // time.
-            let next = match &mut self.shards[si].queue {
-                SimQueue::Edf(q) => {
-                    let expired = q.sweep_expired(now);
-                    if !expired.is_empty() {
-                        let pi = self.phase_idx(now);
-                        self.phases[pi].stats.expired += expired.len() as u64;
-                        if let Some(adm) = self.shards[si].admission.as_mut() {
-                            for _ in 0..expired.len() {
-                                adm.on_expiry();
-                            }
-                        }
-                        for a in expired {
-                            self.client_retry(a, now);
-                        }
-                        continue;
-                    }
-                    q.pop()
-                }
-                SimQueue::Fifo(q, _) => match q.pop_front() {
-                    Some(a) if a.deadline_us <= now => {
-                        let pi = self.phase_idx(now);
-                        self.phases[pi].stats.expired += 1;
-                        self.client_retry(a, now);
-                        continue;
-                    }
-                    other => other,
-                },
-            };
-            let Some(attempt) = next else { return };
-            let s = self.draw_service(attempt.req);
+            let Some(attempt) = next.job else { return };
+            let level = self.shards[si].core.level();
+            let s = self.draw_service(attempt.job.req, level);
             self.shards[si].free_workers -= 1;
             let (finish, completed) = if now + s <= attempt.deadline_us {
                 (now + s, true)
@@ -992,151 +926,84 @@ impl<'a> Sim<'a> {
     /// Admission for one arriving attempt.
     fn arrive(&mut self, mut a: Attempt) {
         let now = self.now;
-        a.arrival_us = now;
-        a.deadline_us = now + self.cfg.deadline_us;
-        if !a.retry {
-            a.giveup_us = a.deadline_us;
-            self.window_fresh += 1;
-        }
+        let deadline = now + self.cfg.deadline_us;
+        let si = (a.req as usize) % self.shards.len();
         let pi = self.phase_idx(now);
         self.phases[pi].stats.offered += 1;
         if a.retry {
             self.phases[pi].stats.retries += 1;
         } else {
+            a.giveup_us = deadline;
+            self.shards[si].window_fresh += 1;
             self.phases[pi].stats.fresh += 1;
         }
-        let si = (a.req as usize) % self.shards.len();
-
-        // Shed pulse: reject everything while it lasts.
-        if self.pulse_until > now {
-            self.phases[pi].stats.shed_throttled += 1;
-            self.client_retry(a, now);
-            return;
-        }
-        // AIMD gate.
-        if let Some(adm) = self.shards[si].admission.as_mut() {
-            if !adm.admit() {
-                self.phases[pi].stats.shed_throttled += 1;
+        match self.shards[si].core.offer(now, deadline, a) {
+            Ok(()) => {
+                self.phases[pi].stats.accepted += 1;
+                self.dispatch(si);
+            }
+            Err((reason, a)) => {
+                let stats = &mut self.phases[pi].stats;
+                match reason {
+                    ShedReason::QueueFull => stats.shed_queue_full += 1,
+                    ShedReason::Unmeetable => stats.shed_unmeetable += 1,
+                    _ => stats.shed_throttled += 1,
+                }
                 self.client_retry(a, now);
-                return;
             }
         }
-        // Queue capacity.
-        if self.shards[si].queue.is_full() {
-            self.phases[pi].stats.shed_queue_full += 1;
-            self.client_retry(a, now);
-            return;
-        }
-        // Unmeetable estimate (hardened only): queue wait plus one
-        // service must fit the budget.
-        if self.hardened {
-            let sh = &self.shards[si];
-            let wait_est = sh.queue.len() as f64 / self.cfg.workers_per_shard.max(1) as f64
-                * sh.ewma_us
-                + sh.ewma_us;
-            if now + wait_est as u64 > a.deadline_us {
-                self.phases[pi].stats.shed_unmeetable += 1;
-                self.client_retry(a, now);
-                return;
-            }
-        }
-        self.phases[pi].stats.accepted += 1;
-        self.shards[si].queue.push(a);
-        self.dispatch(si);
     }
 
-    fn on_done(&mut self, si: usize, attempt: Attempt, completed: bool) {
+    fn on_done(&mut self, si: usize, attempt: Admitted<Attempt>, completed: bool) {
         let now = self.now;
         self.shards[si].free_workers += 1;
         let pi = self.phase_idx(now);
+        let outcome = if completed {
+            Outcome::Completed { fallback: false, frame_abort: false }
+        } else {
+            Outcome::Failed(FailReason::Cancelled)
+        };
+        let latency = self.shards[si].core.complete(now, &attempt, &outcome);
         if completed {
-            let latency = now - attempt.arrival_us;
-            let service_obs = latency.min(now.saturating_sub(attempt.arrival_us));
             self.phases[pi].stats.completed += 1;
             self.phases[pi].latencies.push(latency);
-            self.window_completed += 1;
-            let sh = &mut self.shards[si];
-            sh.ewma_us = 0.8 * sh.ewma_us + 0.2 * service_obs as f64;
-            if let Some(adm) = sh.admission.as_mut() {
-                adm.on_completion(latency, self.cfg.deadline_us);
-            }
         } else {
             self.phases[pi].stats.cancelled += 1;
-            if let Some(adm) = self.shards[si].admission.as_mut() {
-                adm.on_expiry();
-            }
-            self.client_retry(attempt, now);
+            self.client_retry(attempt.job, now);
         }
         self.dispatch(si);
     }
 
     fn on_window(&mut self) {
         let now = self.now;
-        // Pulse end: reopen admission at full rate — the backlog that fed
-        // the collapse is gone.
-        if self.pulse_until != 0 && now >= self.pulse_until {
-            self.pulse_until = 0;
-            for sh in &mut self.shards {
-                if let Some(adm) = sh.admission.as_mut() {
-                    adm.reopen();
-                }
+        for si in 0..self.shards.len() {
+            let fresh = std::mem::take(&mut self.shards[si].window_fresh);
+            let tick = self.shards[si].core.tick(now, fresh);
+            if tick.pulse_ended {
+                self.timeline
+                    .push((now, format!("shard {si}: pulse ended; admission reopened")));
             }
-            self.timeline.push((now, "pulse ended; admission reopened".into()));
-        }
-
-        // Brownout pressure: estimated queue wait relative to the latency
-        // target, averaged over shards.
-        if self.hardened && self.cfg.force_brownout.is_none() {
-            let workers = self.cfg.workers_per_shard.max(1) as f64;
-            let target = 0.75 * self.cfg.deadline_us as f64;
-            let pressure = self
-                .shards
-                .iter()
-                .map(|sh| sh.queue.len() as f64 / workers * sh.ewma_us / target)
-                .sum::<f64>()
-                / self.shards.len() as f64;
-            if let Some(t) = self.ladder.on_pressure(pressure) {
-                self.level = t.to;
+            if let Some((t, pressure)) = tick.brownout {
                 self.brownout_max_level = self.brownout_max_level.max(t.to.as_u8());
-                self.timeline.push((
-                    now,
-                    format!("brownout: {} -> {} (pressure {pressure:.2})", t.from, t.to),
-                ));
+                let detail = format!("{} -> {} (pressure {pressure:.2})", t.from, t.to);
+                self.timeline.push((now, format!("shard {si}: brownout: {detail}")));
             }
-        }
-
-        // Metastable window: exogenous demand vs goodput.
-        let fresh = std::mem::take(&mut self.window_fresh);
-        let completed = std::mem::take(&mut self.window_completed);
-        if self.hardened {
-            match self.detector.on_window(fresh as f64, completed as f64) {
-                Some(MetastableSignal::Fire) => {
-                    self.metastable_fired += 1;
-                    self.pulse_until = now + PULSE_US;
-                    let mut flushed = 0u64;
-                    for si in 0..self.shards.len() {
-                        if let Some(adm) = self.shards[si].admission.as_mut() {
-                            adm.pulse();
-                        }
-                        let drained = self.shards[si].queue.drain();
-                        flushed += drained.len() as u64;
-                        for a in drained {
-                            self.client_retry(a, now);
-                        }
-                    }
-                    let pi = self.phase_idx(now);
-                    self.phases[pi].stats.pulse_flushed += flushed;
-                    self.timeline.push((
-                        now,
-                        format!(
-                            "metastable: fired (goodput collapse at normal load); \
-                             pulse flushed {flushed} queued"
-                        ),
-                    ));
-                }
+            let flushed = tick.flushed.len() as u64;
+            let pi = self.phase_idx(now);
+            self.phases[pi].stats.pulse_flushed += flushed;
+            for a in tick.flushed {
+                self.client_retry(a.job, now);
+            }
+            match tick.metastable {
+                Some(MetastableSignal::Fire) => self.timeline.push((
+                    now,
+                    format!(
+                        "shard {si}: metastable: fired (goodput collapse at normal load); \
+                         pulse flushed {flushed} queued"
+                    ),
+                )),
                 Some(MetastableSignal::Recover) => {
-                    self.metastable_recovered += 1;
-                    self.timeline.push((now, "metastable: recovered".into()));
+                    self.timeline.push((now, format!("shard {si}: metastable: recovered")));
                 }
                 None => {}
             }
@@ -1150,7 +1017,7 @@ impl<'a> Sim<'a> {
     fn on_rerank(&mut self) {
         let now = self.now;
         for si in 0..self.shards.len() {
-            if self.hardened && self.level.sheds_rerank() {
+            if self.shards[si].core.level().sheds_rerank() {
                 self.rerank_skipped += 1;
             } else if self.shards[si].free_workers > 0 {
                 self.shards[si].free_workers -= 1;
@@ -1176,22 +1043,21 @@ impl<'a> Sim<'a> {
                     let is_storm = storm < self.storm_fraction(ev.t);
                     let req = self.next_req;
                     self.next_req += 1;
+                    let client = &self.cfg.client;
                     let a = Attempt {
                         req,
                         storm: is_storm,
                         tries_left: if is_storm {
-                            self.cfg.client.storm_retry_budget
+                            client.storm_retry_budget
                         } else {
-                            self.cfg.client.retry_budget
+                            client.retry_budget
                         },
                         next_backoff_us: if is_storm {
-                            self.cfg.client.storm_backoff_us
+                            client.storm_backoff_us
                         } else {
-                            self.cfg.client.backoff_base_us
+                            client.backoff_base_us
                         },
                         giveup_us: 0,
-                        arrival_us: 0,
-                        deadline_us: 0,
                         retry: false,
                     };
                     self.arrive(a);
@@ -1213,8 +1079,9 @@ impl<'a> Sim<'a> {
         // Anything still queued after the heap drains could never have
         // started (no worker will ever free again): account it as expired
         // so the ledger closes.
+        let now = self.now;
         for si in 0..self.shards.len() {
-            let leftovers = self.shards[si].queue.drain();
+            let leftovers = self.shards[si].core.drain(now);
             self.phases[2].stats.expired += leftovers.len() as u64;
         }
         self.finish()
@@ -1262,22 +1129,25 @@ impl<'a> Sim<'a> {
                 "exactly-once broken: {outcomes} outcomes for {accepted} accepted attempts"
             ));
         }
-        let rates: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|sh| sh.admission.as_ref().map_or(1.0, |a| a.rate()))
-            .collect();
+        let mut cores = MetricsSnapshot::default();
+        for sh in &self.shards {
+            cores.merge_from(&sh.core.metrics());
+        }
+        if let Some(imbalance) = cores.imbalance() {
+            violations.push(format!("core {imbalance}"));
+        }
+        let rate_sum: f64 = self.shards.iter().map(|sh| sh.core.admission_rate()).sum();
         LoadgenRun {
             mode: if self.hardened { "hardened" } else { "baseline" }.to_string(),
             phases: self.phases.into_iter().map(|a| a.stats).collect(),
             timeline: self.timeline,
-            brownout_descents: self.ladder.descents,
-            brownout_ascents: self.ladder.ascents,
+            brownout_descents: cores.brownout_descents,
+            brownout_ascents: cores.brownout_ascents,
             brownout_max_level: self.brownout_max_level,
             rerank_skipped: self.rerank_skipped,
-            metastable_fired: self.metastable_fired,
-            metastable_recovered: self.metastable_recovered,
-            aimd_final_rate: rates.iter().sum::<f64>() / rates.len() as f64,
+            metastable_fired: cores.metastable_fired,
+            metastable_recovered: cores.metastable_recovered,
+            aimd_final_rate: rate_sum / self.shards.len() as f64,
             violations,
         }
     }

@@ -1,30 +1,36 @@
-//! Overload-control primitives shared by the live service and the
-//! virtual-time load generator.
+//! Overload control for the serving stack: the components and the one
+//! service core that composes them.
 //!
-//! Everything in this module is *pure* with respect to time: each component
+//! Everything in this module is *pure* with respect to time: each operation
 //! takes an explicit `now_us` (microseconds on some monotonic clock) instead
-//! of reading `Instant::now()`. That lets the exact same code run inside the
-//! threaded [`serve`](crate::serve) stack (which feeds it wall-clock
-//! microseconds) and inside the single-threaded discrete-event simulator in
-//! [`loadgen`](crate::loadgen) (which feeds it virtual time), so the
-//! behaviour the load generator certifies is the behaviour production runs.
+//! of reading `Instant::now()`. [`ServiceCore`] is the single-threaded
+//! admission and overload-control state machine that both drivers run: the
+//! threaded [`Service`](crate::serve::Service) holds one under its state
+//! mutex and feeds it wall-clock microseconds, and the discrete-event
+//! simulator in [`loadgen`](crate::loadgen) runs one per shard in virtual
+//! time. The behaviour the load generator certifies is therefore the
+//! behaviour production runs; the drivers differ only in what they pass to
+//! [`ServiceCore::tick`] as offered load (see the `tick` docs).
 //!
-//! Components:
+//! Components the core owns:
 //!
 //! * [`DeadlineQueue`] — bounded admission queue ordered by request deadline
-//!   (earliest-deadline-first) with an expired-entry sweep, replacing the old
-//!   FIFO-with-shed discipline;
+//!   (earliest-deadline-first) with an expired-entry sweep;
 //! * [`AimdAdmission`] — additive-increase / multiplicative-decrease
-//!   admission control driven by *measured completion latency* relative to
-//!   the request deadline, replacing the static EWMA gate;
+//!   admission control driven by measured completion latency relative to
+//!   the request deadline;
+//! * the unmeetable-deadline estimate — an EWMA of accept-to-completion
+//!   latency of completed requests;
 //! * [`BrownoutLadder`] — the degradation ladder that sheds optional work
 //!   (re-ranking → profiler sampling → frame offload) under sustained
 //!   pressure and climbs back with hysteresis;
 //! * [`MetastableDetector`] — detects the classic retry-storm failure mode
 //!   where offered load has returned to normal but goodput stays collapsed,
-//!   and requests a forced load-shed pulse to break the feedback loop.
+//!   and triggers a forced load-shed pulse to break the feedback loop.
 
 use std::collections::BinaryHeap;
+
+use crate::serve::{FailReason, MetricsSnapshot, Outcome, ServeConfig, ShedReason};
 
 // ---------------------------------------------------------------------------
 // Deadline-aware queue (EDF + expired sweep)
@@ -120,11 +126,6 @@ impl<T> DeadlineQueue<T> {
     /// (the executor re-checks expiry before running).
     pub fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|e| e.item)
-    }
-
-    /// Deadline of the next entry that would be popped, if any.
-    pub fn peek_deadline(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.deadline_us)
     }
 
     /// Drain every entry (used on shutdown / shed pulses).
@@ -327,8 +328,9 @@ pub struct BrownoutTransition {
 /// between the enter and exit thresholds.
 ///
 /// Pressure is a dimensionless "how close to missing deadlines are we"
-/// signal — the service uses `estimated queue wait / latency target`, so a
-/// full-but-fast queue is not pressure while a short-but-slow one is.
+/// signal — [`ServiceCore`] uses its accept-to-completion latency EWMA over
+/// a latency target, so a full-but-fast queue is not pressure while a
+/// short-but-slow one is.
 #[derive(Clone, Debug)]
 pub struct BrownoutLadder {
     cfg: BrownoutConfig,
@@ -395,8 +397,8 @@ impl BrownoutLadder {
 /// Tuning for [`MetastableDetector`].
 #[derive(Clone, Copy, Debug)]
 pub struct MetastableConfig {
-    /// Goodput below `collapse_fraction × healthy baseline` counts as
-    /// collapsed.
+    /// Goodput below `collapse_fraction × min(healthy baseline, window
+    /// offered)` counts as collapsed.
     pub collapse_fraction: f64,
     /// Offered load within `normal_load_fraction × healthy baseline` counts
     /// as "back to normal" — collapse under genuinely extreme load is plain
@@ -404,7 +406,8 @@ pub struct MetastableConfig {
     pub normal_load_fraction: f64,
     /// Consecutive suspect windows before the detector fires.
     pub confirm_windows: u32,
-    /// Goodput above `recover_fraction × baseline` ends the episode.
+    /// Goodput at or above `recover_fraction × min(baseline, window
+    /// offered)` ends the episode.
     pub recover_fraction: f64,
     /// EWMA weight for the healthy baselines.
     pub baseline_alpha: f64,
@@ -472,10 +475,6 @@ impl MetastableDetector {
         self.collapsed
     }
 
-    pub fn baseline_goodput(&self) -> f64 {
-        self.baseline_goodput
-    }
-
     /// Feed one observation window: `offered` requests arrived, `goodput`
     /// completed in deadline. Rates, counts — any unit, as long as both use
     /// the same one. Windows with no traffic are ignored.
@@ -496,9 +495,12 @@ impl MetastableDetector {
             self.healthy_windows += 1;
             return None;
         }
+        // Goodput is judged against what the window could have delivered:
+        // a window offered fewer requests than the healthy baseline cannot
+        // be expected to complete the baseline's worth.
+        let expected = self.baseline_goodput.min(offered.max(1.0));
         if self.collapsed {
-            let floor = self.cfg.recover_fraction * self.baseline_goodput.min(offered.max(1.0));
-            if goodput >= floor {
+            if goodput >= self.cfg.recover_fraction * expected {
                 self.collapsed = false;
                 self.suspect = 0;
                 self.recovered += 1;
@@ -507,7 +509,7 @@ impl MetastableDetector {
             return None;
         }
         let load_normal = offered <= self.cfg.normal_load_fraction * self.baseline_offered;
-        let goodput_collapsed = goodput < self.cfg.collapse_fraction * self.baseline_goodput;
+        let goodput_collapsed = goodput < self.cfg.collapse_fraction * expected;
         if load_normal && goodput_collapsed {
             self.suspect += 1;
             if self.suspect >= self.cfg.confirm_windows {
@@ -525,6 +527,332 @@ impl MetastableDetector {
             }
         }
         None
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The service core
+// ---------------------------------------------------------------------------
+
+/// How long a metastable shed pulse refuses every offer, µs.
+const PULSE_US: u64 = 200_000;
+
+/// The brownout pressure target: pressure reads 1.0 when the latency EWMA
+/// reaches this fraction of the default deadline budget.
+const PRESSURE_TARGET_FRACTION: f64 = 0.75;
+
+/// A job the core accepted, with the admission facts it needs back when
+/// the job completes.
+#[derive(Debug)]
+pub struct Admitted<J> {
+    /// The caller's job.
+    pub job: J,
+    /// When the core accepted it, µs.
+    pub accepted_us: u64,
+    /// Its absolute deadline, µs.
+    pub deadline_us: u64,
+}
+
+/// What one [`ServiceCore::next`] call hands the caller.
+#[derive(Debug)]
+pub struct Next<J> {
+    /// Entries whose deadline passed while queued, oldest deadline first.
+    /// The core has already counted each as shed after accept; the caller
+    /// answers each as expired.
+    pub expired: Vec<Admitted<J>>,
+    /// The earliest-deadline entry still meetable at `now_us`, if any.
+    pub job: Option<Admitted<J>>,
+}
+
+/// What one [`ServiceCore::tick`] did, for the caller's timeline.
+#[derive(Debug)]
+pub struct Tick<J> {
+    /// A shed pulse ran out at this tick; admission reopened at full rate.
+    pub pulse_ended: bool,
+    /// The brownout ladder moved, and the pressure sample that moved it.
+    pub brownout: Option<(BrownoutTransition, f64)>,
+    /// The metastable detector fired or recovered.
+    pub metastable: Option<MetastableSignal>,
+    /// Entries flushed by the shed pulse that fired at this tick. The core
+    /// has already counted each as shed after accept; the caller answers
+    /// each as throttled.
+    pub flushed: Vec<Admitted<J>>,
+}
+
+/// The single-threaded admission and overload-control core of one
+/// service: the EDF queue, the AIMD gate, the unmeetable-deadline EWMA,
+/// the brownout ladder, the metastable detector with its shed pulse, and
+/// the accept/shed/outcome counters and latency histogram of
+/// [`MetricsSnapshot`]. Time is an argument (`now_us`); the core never
+/// reads a clock.
+///
+/// Five operations drive it: [`offer`](Self::offer) admits or sheds,
+/// [`next`](Self::next) sweeps expired entries and pops the earliest
+/// deadline, [`complete`](Self::complete) records an executed job's
+/// outcome, [`tick`](Self::tick) runs one overload-control window, and
+/// [`drain`](Self::drain) stops admission and hands back everything
+/// queued. Every accepted job leaves through exactly one of `next` (as
+/// expired), `tick` (as flushed), `drain`, or `complete` after `next`
+/// returned it, and is counted exactly once on the way out, so once the
+/// caller completes what it popped, `accepted == completed + failed +
+/// shed_after_accept`.
+///
+/// Setting [`ServeConfig::adaptive_admission`], [`ServeConfig::brownout`]
+/// and [`ServeConfig::metastable`] to `None` leaves a plain bounded queue:
+/// the only refusals are queue-full and draining. `None` for admission also
+/// drops the unmeetable test.
+pub struct ServiceCore<J> {
+    workers: f64,
+    pressure_target_us: f64,
+    queue: DeadlineQueue<Admitted<J>>,
+    admission: Option<AimdAdmission>,
+    /// EWMA of accept-to-completion latency of completed jobs, µs (0 until
+    /// the first completion).
+    ewma_us: f64,
+    ladder: Option<BrownoutLadder>,
+    level: BrownoutLevel,
+    detector: Option<MetastableDetector>,
+    /// While `now_us < pulse_until_us` every offer is shed (0 = no pulse).
+    pulse_until_us: u64,
+    /// Completions since the last tick: the detector's goodput.
+    window_goodput: u64,
+    draining: bool,
+    metrics: MetricsSnapshot,
+}
+
+impl<J> ServiceCore<J> {
+    /// A core sized and tuned by `cfg`: `workers`, `queue_depth`,
+    /// `default_deadline_ms` (the brownout pressure target) and the three
+    /// overload options.
+    pub fn new(cfg: &ServeConfig) -> ServiceCore<J> {
+        ServiceCore {
+            workers: cfg.workers.max(1) as f64,
+            pressure_target_us: cfg.default_deadline_ms.max(1) as f64
+                * 1_000.0
+                * PRESSURE_TARGET_FRACTION,
+            queue: DeadlineQueue::new(cfg.queue_depth.max(1)),
+            admission: cfg.adaptive_admission.map(AimdAdmission::new),
+            ewma_us: 0.0,
+            ladder: cfg.brownout.map(BrownoutLadder::new),
+            level: BrownoutLevel::Full,
+            detector: cfg.metastable.map(MetastableDetector::new),
+            pulse_until_us: 0,
+            window_goodput: 0,
+            draining: false,
+            metrics: MetricsSnapshot::default(),
+        }
+    }
+
+    /// Pin the brownout level for the core's lifetime: the ladder stops
+    /// moving (tests and forced-level load runs).
+    pub fn force_level(&mut self, level: BrownoutLevel) {
+        self.ladder = None;
+        self.level = level;
+    }
+
+    /// Current brownout level.
+    pub fn level(&self) -> BrownoutLevel {
+        self.level
+    }
+
+    /// Whether [`drain`](Self::drain) has run.
+    pub fn is_draining(&self) -> bool {
+        self.draining
+    }
+
+    /// Entries waiting in the queue.
+    pub fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// The AIMD acceptance rate (1.0 without adaptive admission).
+    pub fn admission_rate(&self) -> f64 {
+        self.admission.as_ref().map_or(1.0, AimdAdmission::rate)
+    }
+
+    /// The core's counters. The breaker, governor, region and per-function
+    /// fields are the driver's to fill.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut m = self.metrics.clone();
+        m.brownout_level = self.level.as_u8();
+        if let Some(l) = &self.ladder {
+            m.brownout_descents = l.descents;
+            m.brownout_ascents = l.ascents;
+        }
+        if let Some(d) = &self.detector {
+            m.metastable_fired = d.fired;
+            m.metastable_recovered = d.recovered;
+        }
+        m
+    }
+
+    /// Admit `job` with its absolute deadline, or shed it. Checks run in
+    /// order: draining, shed pulse, AIMD gate, queue capacity, and the
+    /// unmeetable test — with `ahead` jobs queued, a job whose estimated
+    /// start `ahead / workers × EWMA` is past its budget is dead on
+    /// arrival. On a shed the job comes back with the reason.
+    ///
+    /// # Errors
+    /// The typed [`ShedReason`] and the refused job.
+    pub fn offer(&mut self, now_us: u64, deadline_us: u64, job: J) -> Result<(), (ShedReason, J)> {
+        let shed = if self.draining {
+            Some(ShedReason::Draining)
+        } else if now_us < self.pulse_until_us
+            || self.admission.as_mut().is_some_and(|a| !a.admit())
+        {
+            Some(ShedReason::Throttled)
+        } else if self.queue.is_full() {
+            Some(ShedReason::QueueFull)
+        } else if self.admission.is_some() && self.unmeetable(now_us, deadline_us) {
+            Some(ShedReason::Unmeetable)
+        } else {
+            None
+        };
+        let pushed = match shed {
+            None => self
+                .queue
+                .push(deadline_us, Admitted { job, accepted_us: now_us, deadline_us })
+                .map_err(|a| (ShedReason::QueueFull, a.job)),
+            Some(reason) => Err((reason, job)),
+        };
+        let m = &mut self.metrics;
+        match &pushed {
+            Ok(()) => m.accepted += 1,
+            Err((ShedReason::Draining, _)) => m.shed_pre_draining += 1,
+            Err((ShedReason::Throttled, _)) => m.shed_throttled += 1,
+            Err((ShedReason::Unmeetable, _)) => m.shed_unmeetable += 1,
+            Err(_) => m.shed_queue_full += 1,
+        }
+        pushed
+    }
+
+    fn unmeetable(&self, now_us: u64, deadline_us: u64) -> bool {
+        let est_start_us = self.queue.len() as f64 / self.workers * self.ewma_us;
+        est_start_us > deadline_us.saturating_sub(now_us) as f64
+    }
+
+    /// Sweep every entry whose deadline is `<= now_us` (each an expiry:
+    /// counted, and fed to the AIMD gate), then pop the earliest-deadline
+    /// entry left. A popped entry's deadline is always after `now_us`.
+    pub fn next(&mut self, now_us: u64) -> Next<J> {
+        let expired = self.queue.sweep_expired(now_us);
+        for e in &expired {
+            self.count_unexecuted(now_us, e);
+            if let Some(a) = self.admission.as_mut() {
+                a.on_expiry();
+            }
+        }
+        Next { expired, job: self.queue.pop() }
+    }
+
+    /// Record the outcome of a job [`next`](Self::next) returned and the
+    /// caller executed; returns its accept-to-completion latency. Executed
+    /// outcomes feed the AIMD gate; completions also feed the EWMA and the
+    /// detector's goodput.
+    pub fn complete(&mut self, now_us: u64, done: &Admitted<J>, outcome: &Outcome) -> u64 {
+        let latency_us = now_us.saturating_sub(done.accepted_us);
+        let m = &mut self.metrics;
+        match outcome {
+            Outcome::Completed { fallback, frame_abort } => {
+                m.completed += 1;
+                m.fallbacks += u64::from(*fallback);
+                m.frame_aborts += u64::from(*frame_abort);
+                self.window_goodput += 1;
+                let sample = latency_us as f64;
+                self.ewma_us = if self.ewma_us == 0.0 {
+                    sample
+                } else {
+                    0.8 * self.ewma_us + 0.2 * sample
+                };
+            }
+            Outcome::Failed(reason) => {
+                m.failed += 1;
+                match reason {
+                    FailReason::Cancelled => m.cancelled += 1,
+                    FailReason::Panicked => m.panics += 1,
+                    FailReason::MemLimit => m.mem_limits += 1,
+                    FailReason::StepLimit => m.step_limits += 1,
+                    FailReason::BreakerOpen
+                    | FailReason::UnknownWorkload
+                    | FailReason::ShardLost
+                    | FailReason::Exec(_) => {}
+                }
+            }
+            Outcome::Shed(_) => m.shed_after_accept += 1,
+        }
+        m.latency.record(latency_us);
+        if !matches!(outcome, Outcome::Shed(_)) {
+            if let Some(a) = self.admission.as_mut() {
+                a.on_completion(latency_us, done.deadline_us.saturating_sub(done.accepted_us));
+            }
+        }
+        latency_us
+    }
+
+    /// One overload-control window. `offered` is the load that arrived
+    /// since the previous tick, as the driver defines it: the threaded
+    /// service passes every submission, the load generator passes fresh
+    /// arrivals only (a service cannot tell a retry from a fresh request,
+    /// the simulator can). In order: a shed pulse that ran out reopens
+    /// admission; the ladder takes a pressure sample, the latency EWMA
+    /// over the pressure target (the EWMA already includes queue wait, so
+    /// it is not scaled by queue depth again); the detector judges `offered`
+    /// against the completions since the last tick, and on a fire the
+    /// core clamps admission, refuses every offer for the pulse, and
+    /// flushes the queue.
+    pub fn tick(&mut self, now_us: u64, offered: u64) -> Tick<J> {
+        let mut tick = Tick {
+            pulse_ended: false,
+            brownout: None,
+            metastable: None,
+            flushed: Vec::new(),
+        };
+        if self.pulse_until_us != 0 && now_us >= self.pulse_until_us {
+            self.pulse_until_us = 0;
+            if let Some(a) = self.admission.as_mut() {
+                a.reopen();
+            }
+            tick.pulse_ended = true;
+        }
+        if let Some(ladder) = self.ladder.as_mut() {
+            let pressure = self.ewma_us / self.pressure_target_us;
+            if let Some(t) = ladder.on_pressure(pressure) {
+                self.level = t.to;
+                tick.brownout = Some((t, pressure));
+            }
+        }
+        let goodput = std::mem::take(&mut self.window_goodput);
+        tick.metastable =
+            self.detector.as_mut().and_then(|d| d.on_window(offered as f64, goodput as f64));
+        if tick.metastable == Some(MetastableSignal::Fire) {
+            self.pulse_until_us = now_us + PULSE_US;
+            if let Some(a) = self.admission.as_mut() {
+                a.pulse();
+            }
+            tick.flushed = self.evict(now_us);
+        }
+        tick
+    }
+
+    /// Stop admitting (every later offer is shed as draining) and hand
+    /// back everything queued, earliest deadline first. The core has
+    /// counted each as shed after accept; the caller answers each.
+    pub fn drain(&mut self, now_us: u64) -> Vec<Admitted<J>> {
+        self.draining = true;
+        self.evict(now_us)
+    }
+
+    fn evict(&mut self, now_us: u64) -> Vec<Admitted<J>> {
+        let all = self.queue.drain_all();
+        for e in &all {
+            self.count_unexecuted(now_us, e);
+        }
+        all
+    }
+
+    fn count_unexecuted(&mut self, now_us: u64, e: &Admitted<J>) {
+        self.metrics.shed_after_accept += 1;
+        self.metrics.latency.record(now_us.saturating_sub(e.accepted_us));
     }
 }
 
@@ -727,5 +1055,87 @@ mod tests {
         assert!(d.on_window(50.0, 5.0).is_none());
         assert!(!d.is_collapsed());
         assert_eq!(d.fired, 0);
+    }
+
+    #[test]
+    fn metastable_stays_quiet_when_a_slow_loop_answers_what_it_is_offered() {
+        let mut d = MetastableDetector::new(MetastableConfig::default());
+        for _ in 0..MetastableConfig::default().warmup_windows {
+            assert!(d.on_window(20.0, 20.0).is_none());
+        }
+        // The request mix slows to one request per window, answered in
+        // the window or the next: nothing is lost, so nothing collapsed.
+        for _ in 0..50 {
+            assert!(d.on_window(1.0, 1.0).is_none());
+            assert!(d.on_window(1.0, 0.0).is_none());
+        }
+        assert_eq!(d.fired, 0);
+    }
+
+    fn quiet_core(aimd: bool, metastable: Option<MetastableConfig>) -> ServiceCore<u32> {
+        ServiceCore::new(&ServeConfig {
+            workers: 1,
+            queue_depth: 8,
+            adaptive_admission: aimd.then(AimdConfig::default),
+            brownout: None,
+            metastable,
+            ..ServeConfig::default()
+        })
+    }
+
+    /// Offer, pop and complete one job at `t`, taking `service_us`.
+    fn run_one(core: &mut ServiceCore<u32>, t: u64, service_us: u64) {
+        core.offer(t, t + 10 * service_us, 0).unwrap();
+        let job = core.next(t).job.expect("just queued");
+        let done = Outcome::Completed { fallback: false, frame_abort: false };
+        core.complete(t + service_us, &job, &done);
+    }
+
+    #[test]
+    fn core_sheds_what_the_latency_ewma_says_cannot_start_in_time() {
+        let mut core = quiet_core(true, None);
+        run_one(&mut core, 0, 500);
+        // One worker, 500 µs per job, a 1 000 µs budget: with `ahead`
+        // queued the start estimate is 500 × ahead.
+        for ahead in 0..3 {
+            assert_eq!(core.queue_len(), ahead);
+            assert!(core.offer(500, 1_500, 1).is_ok(), "{ahead} ahead fits");
+        }
+        assert!(matches!(core.offer(500, 1_500, 1), Err((ShedReason::Unmeetable, 1))));
+        // Without adaptive admission the test is off.
+        let mut plain = quiet_core(false, None);
+        run_one(&mut plain, 0, 500);
+        for _ in 0..8 {
+            assert!(plain.offer(500, 1_500, 1).is_ok());
+        }
+        assert!(matches!(plain.offer(500, 1_500, 1), Err((ShedReason::QueueFull, 1))));
+    }
+
+    #[test]
+    fn core_pulse_flushes_the_queue_and_refuses_until_it_ends() {
+        let cfg = MetastableConfig {
+            warmup_windows: 1,
+            confirm_windows: 1,
+            ..MetastableConfig::default()
+        };
+        let mut core = quiet_core(true, Some(cfg));
+        for i in 0..10 {
+            run_one(&mut core, i * 10, 5);
+        }
+        assert!(core.tick(100, 10).metastable.is_none());
+        // Offered load is normal, nothing completes: collapse.
+        for _ in 0..3 {
+            core.offer(110, 10_000, 7).unwrap();
+        }
+        let tick = core.tick(200, 10);
+        assert_eq!(tick.metastable, Some(MetastableSignal::Fire));
+        assert_eq!(tick.flushed.iter().map(|a| a.job).collect::<Vec<_>>(), vec![7, 7, 7]);
+        assert!(matches!(core.offer(201, 10_000, 8), Err((ShedReason::Throttled, 8))));
+        assert!(core.tick(200 + PULSE_US, 1).pulse_ended);
+        assert!(core.offer(200 + PULSE_US, 300_000, 9).is_ok());
+        let m = core.metrics();
+        assert_eq!(m.metastable_fired, 1);
+        assert_eq!((m.accepted, m.completed, m.shed_after_accept), (14, 10, 3));
+        assert_eq!(m.offered(), 15);
     }
 }

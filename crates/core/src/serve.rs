@@ -8,15 +8,19 @@
 //!
 //! * **Admission control** — requests carry a per-request budget (fuel,
 //!   resident-page cap, wall-clock deadline) and flow through a bounded
-//!   queue. When the queue is full, the service is draining, or the
-//!   deadline is already unmeetable given the observed service time, the
-//!   request is shed *at submission* with a typed [`ShedReason`] instead
-//!   of being queued to die.
+//!   deadline queue. Admission, the queue, and the overload controls are
+//!   one [`ServiceCore`] held with the breaker table under a single state
+//!   lock and driven by wall-clock microseconds; the load generator runs
+//!   the same core in virtual time. When the queue is full, the service
+//!   is draining or throttled, or the deadline is already unmeetable
+//!   given the observed latency, the request is shed *at submission* with
+//!   a typed [`ShedReason`] instead of being queued to die.
 //! * **Exactly-once** — an accepted request receives exactly one terminal
 //!   [`Response`]: completed, failed, or shed-after-accept. Never zero
-//!   (lost), never two (duplicated). Structurally, every accepted job is
-//!   either popped by exactly one worker (which answers it on every exit
-//!   path, panics included) or drained by shutdown (which answers it as
+//!   (lost), never two (duplicated). Structurally, every accepted job
+//!   leaves the core once — popped by exactly one worker (which answers
+//!   it on every exit path, panics included), or swept as expired,
+//!   flushed by a shed pulse, or drained by shutdown (each answered as
 //!   shed); [`respond`] is the only function that sends.
 //! * **Worker pool** — a fixed pool executes via the pre-decoded engine
 //!   with warm per-worker decode caches. Each worker is panic-isolated:
@@ -44,7 +48,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -79,8 +83,8 @@ use crate::governor::{
 };
 use crate::journal::Json;
 use crate::overload::{
-    AimdAdmission, AimdConfig, BrownoutConfig, BrownoutLadder, BrownoutLevel, DeadlineQueue,
-    MetastableConfig, MetastableDetector, MetastableSignal,
+    Admitted, AimdConfig, BrownoutConfig, BrownoutLevel, MetastableConfig, MetastableSignal,
+    ServiceCore,
 };
 use crate::report;
 use crate::supervisor::silence_supervised_panics;
@@ -124,8 +128,8 @@ pub struct ServeConfig {
     pub adaptive: Option<GovernorConfig>,
     /// AIMD adaptive admission: the acceptance rate tightens on measured
     /// completion-latency breaches and queue expiries, and reopens
-    /// additively on healthy completions. `None` leaves only the static
-    /// queue-depth + EWMA-unmeetable gates.
+    /// additively on healthy completions. `None` also drops the
+    /// unmeetable-deadline test, leaving only the queue-depth gate.
     pub adaptive_admission: Option<AimdConfig>,
     /// Brownout degradation ladder: under sustained deadline pressure the
     /// service sheds optional work level by level (re-ranking → profiler
@@ -333,7 +337,7 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    fn record(&mut self, us: u64) {
+    pub(crate) fn record(&mut self, us: u64) {
         let b = (us.max(1).ilog2() as usize).min(31);
         self.buckets[b] += 1;
     }
@@ -470,6 +474,25 @@ impl MetricsSnapshot {
     /// [`Service::shutdown`].
     pub fn invariant_holds(&self) -> bool {
         self.accepted == self.completed + self.failed + self.shed_after_accept
+    }
+
+    /// Why [`invariant_holds`](Self::invariant_holds) fails, if it does.
+    pub(crate) fn imbalance(&self) -> Option<String> {
+        (!self.invariant_holds()).then(|| {
+            format!(
+                "counter imbalance: accepted {} != completed {} + failed {} + shed {}",
+                self.accepted, self.completed, self.failed, self.shed_after_accept
+            )
+        })
+    }
+
+    /// Submissions: accepted plus every shed at admission.
+    pub(crate) fn offered(&self) -> u64 {
+        self.accepted
+            + self.shed_queue_full
+            + self.shed_unmeetable
+            + self.shed_pre_draining
+            + self.shed_throttled
     }
 
     /// Total breaker trips across functions.
@@ -646,14 +669,11 @@ impl MetricsSnapshot {
     }
 }
 
-/// An accepted unit of work: the request plus its acceptance time,
-/// absolute deadline, and reply channel.
+/// An accepted unit of work: the request, its resolved budgets, and its
+/// reply channel. The core wraps it with its acceptance time and absolute
+/// deadline ([`Admitted`]).
 struct Job {
     req: Request,
-    accepted_at: Instant,
-    deadline: Instant,
-    /// Total deadline budget, µs (the AIMD breach denominator).
-    budget_us: u64,
     fuel: u64,
     max_pages: usize,
     reply: Sender<Response>,
@@ -666,19 +686,52 @@ struct Inflight {
     token: CancelToken,
 }
 
+/// Everything admission and completion touch, under one lock: the
+/// overload-control core, the per-function breakers, and the two
+/// counters only the threaded service keeps.
+struct State {
+    core: ServiceCore<Job>,
+    breakers: HashMap<String, CircuitBreaker>,
+    /// Requests fast-failed or fallback-executed because a breaker was
+    /// open (counted at the breaker gate).
+    breaker_shed: u64,
+    /// Worker recycles after a poisoned execution.
+    recycles: u64,
+    /// Workers waiting on the queue condvar: submit only signals when one
+    /// is, sparing a wake-up call per request while the pool is busy.
+    idle_workers: usize,
+}
+
+impl State {
+    /// Consult the request's breaker, or `None` when no breaker applies:
+    /// a wedge ignores the gate, and a name outside the catalog never gets
+    /// a breaker row.
+    fn gate(&mut self, cfg: &ServeConfig, req: &Request) -> Option<Admission> {
+        if req.fault == Some(InjectedFault::WedgeWorker) || !cfg.catalog.contains(&req.workload) {
+            return None;
+        }
+        let admission = self
+            .breakers
+            .entry(req.workload.clone())
+            .or_insert_with(|| CircuitBreaker::new(cfg.breaker))
+            .admit();
+        if admission == Admission::Shed {
+            self.breaker_shed += 1;
+        }
+        Some(admission)
+    }
+}
+
 struct Inner {
     cfg: ServeConfig,
-    /// Deadline-ordered admission queue: workers sweep expired entries
-    /// in bulk and dequeue earliest-deadline-first.
-    queue: Mutex<DeadlineQueue<Job>>,
+    state: Mutex<State>,
+    /// Signalled on every acceptance and on drain; workers wait on it with
+    /// the state lock.
     queue_cv: Condvar,
-    draining: AtomicBool,
     /// The SIGKILL analogue: releases wedged workers (those ignoring
     /// their cancellation token). Set by shutdown once the drain
     /// deadline passes, or immediately by [`Service::abort`].
     hard_kill: AtomicBool,
-    metrics: Mutex<MetricsSnapshot>,
-    breakers: Mutex<HashMap<String, CircuitBreaker>>,
     inflight: Vec<Mutex<Option<Inflight>>>,
     /// Per-worker heartbeat, milliseconds since `epoch`. Workers beat on
     /// every queue interaction; a shard supervisor reads the ages to
@@ -686,10 +739,9 @@ struct Inner {
     /// in-flight deadline overrun instead, so long legitimate jobs don't
     /// false-positive).
     beats: Vec<AtomicU64>,
+    /// The core's clock origin: `now_us` counts from here.
     epoch: Instant,
     active_workers: AtomicUsize,
-    /// EWMA of observed service time, microseconds (admission estimate).
-    ewma_us: Mutex<f64>,
     /// The live region table, RCU-style: readers clone the `Arc` under a
     /// brief lock and then run lock-free on that epoch's frames; the
     /// governor publishes a whole new [`RegionEpoch`] in one swap, so
@@ -707,18 +759,13 @@ struct Inner {
     /// Cumulative per-function analysis counters (decode warmups,
     /// pdom-walk truncations) that must survive worker recycles.
     func_stats: Mutex<HashMap<String, FuncStat>>,
-    /// AIMD admission controller (`None` = static gates only).
-    admission: Mutex<Option<AimdAdmission>>,
-    /// Brownout ladder; its current level is mirrored into
-    /// `brownout_level` for lock-free hot-path reads.
-    ladder: Mutex<Option<BrownoutLadder>>,
-    /// Mirror of the ladder level (hot path: workers check it per job).
-    brownout_level: AtomicU8,
-    /// Metastable-failure detector, ticked by the watchdog.
-    detector: Mutex<Option<MetastableDetector>>,
-    /// While `epoch.elapsed().as_millis() < pulse_until_ms`, submissions
-    /// are shed (the metastable forced load-shed pulse).
-    pulse_until_ms: AtomicU64,
+}
+
+impl Inner {
+    /// Microseconds since `epoch`: the core's clock.
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
 }
 
 /// One published generation of the offload region table. Immutable once
@@ -751,13 +798,8 @@ struct FuncStat {
 const IDLE_BEAT_MS: u64 = 20;
 
 /// The watchdog runs its cancel sweep every ~1ms; every Nth sweep it
-/// also ticks the overload controllers (ladder pressure + metastable
-/// window), i.e. every ~50ms.
+/// also ticks the overload core, i.e. every ~50ms.
 const OVERLOAD_TICK_EVERY: u64 = 50;
-
-/// How long a metastable shed pulse rejects all submissions,
-/// milliseconds.
-const PULSE_MS: u64 = 200;
 
 fn beat(inner: &Inner, wi: usize) {
     inner.beats[wi].store(
@@ -766,107 +808,55 @@ fn beat(inner: &Inner, wi: usize) {
     );
 }
 
-/// Metastable-window bookkeeping carried between watchdog ticks.
-#[derive(Default)]
-struct OverloadWindow {
-    offered: u64,
-    goodput: u64,
-}
-
-/// One overload-control tick: feed the brownout ladder a pressure sample
-/// and the metastable detector an offered/goodput window, acting on what
-/// they return. Runs on the watchdog thread.
-fn overload_tick(inner: &Inner, window: &mut OverloadWindow) {
-    // A shed pulse that just elapsed reopens admission at full rate: the
-    // backlog is flushed, so probe instead of crawling up from the floor.
-    let now_ms = inner.epoch.elapsed().as_millis() as u64;
-    let pulse_until = inner.pulse_until_ms.load(Ordering::Relaxed);
-    if pulse_until != 0 && now_ms >= pulse_until {
-        inner.pulse_until_ms.store(0, Ordering::Relaxed);
-        if let Some(adm) = plock(&inner.admission).as_mut() {
-            adm.reopen();
-        }
-    }
-
-    // Pressure = estimated queue wait relative to the deadline budget: a
-    // deep-but-fast queue is not pressure, a short-but-slow one is.
-    let queue_len = plock(&inner.queue).len() as f64;
-    let ewma = *plock(&inner.ewma_us);
-    let target_us =
-        inner.cfg.default_deadline_ms.max(1) as f64 * 1_000.0 * 0.75;
-    let pressure = if ewma > 0.0 {
-        (queue_len / inner.cfg.workers.max(1) as f64) * ewma / target_us
-    } else {
-        0.0
+/// One overload-control tick on the watchdog thread. The detector's
+/// offered load is every submission since the last tick (`seen` carries
+/// the running total); the service cannot tell a retry from a fresh
+/// request. Flushed jobs are answered as throttled, and ladder and
+/// detector moves land on the governor timeline.
+fn overload_tick(inner: &Inner, seen: &mut u64) {
+    let (now_us, tick) = {
+        let mut st = plock(&inner.state);
+        let now_us = inner.now_us();
+        let offered = st.core.metrics().offered();
+        let tick = st.core.tick(now_us, offered - *seen);
+        *seen = offered;
+        (now_us, tick)
     };
-    if let Some(ladder) = plock(&inner.ladder).as_mut() {
-        if let Some(t) = ladder.on_pressure(pressure) {
-            inner.brownout_level.store(t.to.as_u8(), Ordering::Relaxed);
-            let mut gs = plock(&inner.governor_stats);
-            let epoch = gs.epochs;
-            gs.push_event(EpochEvent {
-                epoch,
-                kind: EventKind::Brownout,
-                workload: String::new(),
-                detail: format!("{} -> {} (pressure {pressure:.2})", t.from, t.to),
-            });
-        }
+    let n = tick.flushed.len();
+    for a in tick.flushed {
+        let latency_us = now_us.saturating_sub(a.accepted_us);
+        respond(a.job, Outcome::Shed(ShedReason::Throttled), latency_us);
     }
-
-    // Metastable window: offered vs goodput deltas since the last tick.
-    let (offered, goodput) = {
-        let m = plock(&inner.metrics);
-        (
-            m.accepted + m.shed_queue_full + m.shed_unmeetable + m.shed_throttled,
-            m.completed,
-        )
-    };
-    let d_offered = offered.saturating_sub(window.offered);
-    let d_goodput = goodput.saturating_sub(window.goodput);
-    window.offered = offered;
-    window.goodput = goodput;
-    let signal = plock(&inner.detector)
-        .as_mut()
-        .and_then(|d| d.on_window(d_offered as f64, d_goodput as f64));
-    match signal {
-        Some(MetastableSignal::Fire) => {
-            // The forced load-shed pulse: clamp admission, reject new
-            // submissions for PULSE_MS, and flush everything queued so
-            // the backlog feeding the collapse drains instantly.
-            inner.pulse_until_ms.store(
-                inner.epoch.elapsed().as_millis() as u64 + PULSE_MS,
-                Ordering::Relaxed,
-            );
-            if let Some(adm) = plock(&inner.admission).as_mut() {
-                adm.pulse();
-            }
-            let flushed = plock(&inner.queue).drain_all();
-            let n = flushed.len();
-            for job in flushed {
-                respond(inner, job, Outcome::Shed(ShedReason::Throttled));
-            }
-            let mut gs = plock(&inner.governor_stats);
-            let epoch = gs.epochs;
-            gs.push_event(EpochEvent {
-                epoch,
-                kind: EventKind::Metastable,
-                workload: String::new(),
-                detail: format!(
-                    "goodput collapse at normal load; shed pulse flushed {n} queued"
-                ),
-            });
-        }
-        Some(MetastableSignal::Recover) => {
-            let mut gs = plock(&inner.governor_stats);
-            let epoch = gs.epochs;
-            gs.push_event(EpochEvent {
-                epoch,
-                kind: EventKind::Metastable,
-                workload: String::new(),
-                detail: "goodput recovered; metastable episode over".into(),
-            });
-        }
+    let mut events = Vec::new();
+    if let Some((t, pressure)) = tick.brownout {
+        events.push((
+            EventKind::Brownout,
+            format!("{} -> {} (pressure {pressure:.2})", t.from, t.to),
+        ));
+    }
+    match tick.metastable {
+        Some(MetastableSignal::Fire) => events.push((
+            EventKind::Metastable,
+            format!("goodput collapse at normal load; shed pulse flushed {n} queued"),
+        )),
+        Some(MetastableSignal::Recover) => events.push((
+            EventKind::Metastable,
+            "goodput recovered; metastable episode over".into(),
+        )),
         None => {}
+    }
+    if events.is_empty() {
+        return;
+    }
+    let mut gs = plock(&inner.governor_stats);
+    let epoch = gs.epochs;
+    for (kind, detail) in events {
+        gs.push_event(EpochEvent {
+            epoch,
+            kind,
+            workload: String::new(),
+            detail,
+        });
     }
 }
 
@@ -942,17 +932,19 @@ impl Service {
 
         let workers_n = cfg.workers.max(1);
         let inner = Arc::new(Inner {
-            queue: Mutex::new(DeadlineQueue::new(cfg.queue_depth.max(1))),
+            state: Mutex::new(State {
+                core: ServiceCore::new(&cfg),
+                breakers: HashMap::new(),
+                breaker_shed: 0,
+                recycles: 0,
+                idle_workers: 0,
+            }),
             queue_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
             hard_kill: AtomicBool::new(false),
-            metrics: Mutex::new(MetricsSnapshot::default()),
-            breakers: Mutex::new(HashMap::new()),
             inflight: (0..workers_n).map(|_| Mutex::new(None)).collect(),
             beats: (0..workers_n).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
             active_workers: AtomicUsize::new(0),
-            ewma_us: Mutex::new(0.0),
             regions: Mutex::new(Arc::new(RegionEpoch {
                 epoch: 0,
                 frames,
@@ -962,11 +954,6 @@ impl Service {
             region_stats: Mutex::new(HashMap::new()),
             governor_stats: Mutex::new(GovernorStats::default()),
             func_stats: Mutex::new(HashMap::new()),
-            admission: Mutex::new(cfg.adaptive_admission.map(AimdAdmission::new)),
-            ladder: Mutex::new(cfg.brownout.map(BrownoutLadder::new)),
-            brownout_level: AtomicU8::new(0),
-            detector: Mutex::new(cfg.metastable.map(MetastableDetector::new)),
-            pulse_until_ms: AtomicU64::new(0),
             cfg,
         });
 
@@ -992,7 +979,7 @@ impl Service {
         let watchdog = std::thread::Builder::new()
             .name("needle-usrv-watchdog".into())
             .spawn(move || {
-                let mut window = OverloadWindow::default();
+                let mut seen = 0u64;
                 let mut ticks = 0u64;
                 while !stop2.load(Ordering::SeqCst) {
                     let now = Instant::now();
@@ -1006,7 +993,7 @@ impl Service {
                     }
                     ticks += 1;
                     if ticks.is_multiple_of(OVERLOAD_TICK_EVERY) {
-                        overload_tick(&inner3, &mut window);
+                        overload_tick(&inner3, &mut seen);
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -1044,87 +1031,24 @@ impl Service {
     /// # Errors
     /// Returns the typed [`ShedReason`] when the request is refused.
     pub fn submit(&self, req: Request, reply: &Sender<Response>) -> Result<(), ShedReason> {
-        let inner = &self.inner;
-        if inner.draining.load(Ordering::SeqCst) {
-            plock(&inner.metrics).shed_pre_draining += 1;
-            return Err(ShedReason::Draining);
-        }
-        // Metastable shed pulse: reject everything while it lasts.
-        let pulse_until = inner.pulse_until_ms.load(Ordering::Relaxed);
-        if pulse_until > 0 && (inner.epoch.elapsed().as_millis() as u64) < pulse_until {
-            plock(&inner.metrics).shed_throttled += 1;
-            return Err(ShedReason::Throttled);
-        }
-        // AIMD gate: the acceptance rate reflects measured completion
-        // latency; the credit-accumulator decision is deterministic.
-        if let Some(adm) = plock(&inner.admission).as_mut() {
-            if !adm.admit() {
-                plock(&inner.metrics).shed_throttled += 1;
-                return Err(ShedReason::Throttled);
-            }
-        }
-        let deadline_ms = if req.deadline_ms == 0 {
-            inner.cfg.default_deadline_ms
-        } else {
-            req.deadline_ms
+        let cfg = &self.inner.cfg;
+        let or_default = |v: u64, d: u64| if v == 0 { d } else { v };
+        let budget_us = or_default(req.deadline_ms, cfg.default_deadline_ms).saturating_mul(1_000);
+        let job = Job {
+            fuel: or_default(req.fuel, cfg.default_fuel),
+            max_pages: if req.max_pages == 0 { cfg.default_max_pages } else { req.max_pages },
+            req,
+            reply: reply.clone(),
         };
-        let fuel = if req.fuel == 0 {
-            inner.cfg.default_fuel
-        } else {
-            req.fuel
+        let (offered, idle) = {
+            let mut st = plock(&self.inner.state);
+            let now_us = self.inner.now_us();
+            (st.core.offer(now_us, now_us.saturating_add(budget_us), job), st.idle_workers > 0)
         };
-        let max_pages = if req.max_pages == 0 {
-            inner.cfg.default_max_pages
-        } else {
-            req.max_pages
-        };
-        let accepted_at = Instant::now();
-        let deadline = accepted_at + Duration::from_millis(deadline_ms);
-        let budget_us = deadline_ms.saturating_mul(1_000);
-        let deadline_us =
-            inner.epoch.elapsed().as_micros() as u64 + budget_us;
-
-        let mut queue = plock(&inner.queue);
-        if queue.is_full() {
-            drop(queue);
-            plock(&inner.metrics).shed_queue_full += 1;
-            return Err(ShedReason::QueueFull);
+        offered.map_err(|(reason, _)| reason)?;
+        if idle {
+            self.inner.queue_cv.notify_one();
         }
-        // Deadline-aware admission: with `q` requests ahead and an
-        // observed mean service time, a request that cannot start before
-        // its deadline is dead on arrival — shed it now instead of
-        // queueing it to expire. (Under EDF this matters doubly: a
-        // doomed short-deadline entry would jump the queue and burn
-        // worker time ahead of meetable work.)
-        let ewma = *plock(&inner.ewma_us);
-        if ewma > 0.0 {
-            let ahead = queue.len() as f64;
-            let est_start_us = ahead / inner.cfg.workers.max(1) as f64 * ewma;
-            if est_start_us > deadline_ms as f64 * 1_000.0 {
-                drop(queue);
-                plock(&inner.metrics).shed_unmeetable += 1;
-                return Err(ShedReason::Unmeetable);
-            }
-        }
-        let pushed = queue.push(
-            deadline_us,
-            Job {
-                req,
-                accepted_at,
-                deadline,
-                budget_us,
-                fuel,
-                max_pages,
-                reply: reply.clone(),
-            },
-        );
-        drop(queue);
-        if pushed.is_err() {
-            plock(&inner.metrics).shed_queue_full += 1;
-            return Err(ShedReason::QueueFull);
-        }
-        plock(&inner.metrics).accepted += 1;
-        inner.queue_cv.notify_one();
         Ok(())
     }
 
@@ -1152,14 +1076,17 @@ impl Service {
 
     fn shutdown_inner(&mut self, graceful: bool) -> MetricsSnapshot {
         let inner = &self.inner;
-        inner.draining.store(true, Ordering::SeqCst);
-        inner.queue_cv.notify_all();
-
-        // Workers stop popping once draining is set, so every job still
+        // Workers stop popping once the core drains, so every job still
         // queued belongs to shutdown: answer each exactly once as shed.
-        let drained: Vec<Job> = plock(&inner.queue).drain_all();
-        for job in drained {
-            respond(inner, job, Outcome::Shed(ShedReason::Draining));
+        let (now_us, drained) = {
+            let mut st = plock(&inner.state);
+            let now_us = inner.now_us();
+            (now_us, st.core.drain(now_us))
+        };
+        inner.queue_cv.notify_all();
+        for a in drained {
+            let latency_us = now_us.saturating_sub(a.accepted_us);
+            respond(a.job, Outcome::Shed(ShedReason::Draining), latency_us);
         }
 
         // Bounded wait for in-flight work; past the drain deadline,
@@ -1247,33 +1174,28 @@ impl Drop for Service {
 
 /// Breaker rows + counters under one snapshot.
 fn snapshot(inner: &Inner) -> MetricsSnapshot {
-    let mut m = plock(&inner.metrics).clone();
-    m.brownout_level = inner.brownout_level.load(Ordering::Relaxed);
-    if let Some(ladder) = plock(&inner.ladder).as_ref() {
-        m.brownout_descents = ladder.descents;
-        m.brownout_ascents = ladder.ascents;
-    }
-    if let Some(det) = plock(&inner.detector).as_ref() {
-        m.metastable_fired = det.fired;
-        m.metastable_recovered = det.recovered;
-    }
-    let breakers = plock(&inner.breakers);
-    let mut rows: Vec<BreakerRow> = breakers
-        .iter()
-        .map(|(name, b)| BreakerRow {
-            func: name.clone(),
-            state: b.state(),
-            trips: b.trips(),
-            recoveries: b.recoveries(),
-            transitions: b.transitions(),
-            ms_closed: b.time_in_state_ms(BreakerState::Closed),
-            ms_open: b.time_in_state_ms(BreakerState::Open),
-            ms_half_open: b.time_in_state_ms(BreakerState::HalfOpen),
-        })
-        .collect();
-    drop(breakers);
-    rows.sort_by(|a, b| a.func.cmp(&b.func));
-    m.breakers = rows;
+    let mut m = {
+        let st = plock(&inner.state);
+        let mut m = st.core.metrics();
+        m.breaker_shed = st.breaker_shed;
+        m.recycles = st.recycles;
+        m.breakers = st
+            .breakers
+            .iter()
+            .map(|(name, b)| BreakerRow {
+                func: name.clone(),
+                state: b.state(),
+                trips: b.trips(),
+                recoveries: b.recoveries(),
+                transitions: b.transitions(),
+                ms_closed: b.time_in_state_ms(BreakerState::Closed),
+                ms_open: b.time_in_state_ms(BreakerState::Open),
+                ms_half_open: b.time_in_state_ms(BreakerState::HalfOpen),
+            })
+            .collect();
+        m
+    };
+    m.breakers.sort_by(|a, b| a.func.cmp(&b.func));
     m.governor = plock(&inner.governor_stats).clone();
     {
         let regions = plock(&inner.regions).clone();
@@ -1301,50 +1223,11 @@ fn snapshot(inner: &Inner) -> MetricsSnapshot {
     m
 }
 
-/// The single response site: updates counters, records latency, sends.
-/// Exactly-once holds because every accepted [`Job`] reaches this
-/// function exactly once (worker pop xor shutdown drain).
-fn respond(inner: &Inner, job: Job, outcome: Outcome) {
-    let latency_us = job.accepted_at.elapsed().as_micros() as u64;
-    // AIMD feedback: executed outcomes carry a real completion latency;
-    // breaches (latency past the target fraction of the budget) tighten
-    // the acceptance rate, healthy completions reopen it. Sheds never
-    // ran, so they don't count — except expiries, fed via `on_expiry` at
-    // the sweep site.
-    if matches!(outcome, Outcome::Completed { .. } | Outcome::Failed(_)) {
-        if let Some(adm) = plock(&inner.admission).as_mut() {
-            adm.on_completion(latency_us, job.budget_us);
-        }
-    }
-    {
-        let mut m = plock(&inner.metrics);
-        match &outcome {
-            Outcome::Completed { fallback, frame_abort } => {
-                m.completed += 1;
-                if *fallback {
-                    m.fallbacks += 1;
-                }
-                if *frame_abort {
-                    m.frame_aborts += 1;
-                }
-            }
-            Outcome::Failed(reason) => {
-                m.failed += 1;
-                match reason {
-                    FailReason::Cancelled => m.cancelled += 1,
-                    FailReason::Panicked => m.panics += 1,
-                    FailReason::MemLimit => m.mem_limits += 1,
-                    FailReason::StepLimit => m.step_limits += 1,
-                    FailReason::BreakerOpen => m.breaker_shed += 1,
-                    FailReason::UnknownWorkload
-                    | FailReason::ShardLost
-                    | FailReason::Exec(_) => {}
-                }
-            }
-            Outcome::Shed(_) => m.shed_after_accept += 1,
-        }
-        m.latency.record(latency_us);
-    }
+/// The single send site. Exactly-once holds because every accepted
+/// [`Job`] reaches this function exactly once: swept as expired or popped
+/// by one worker, flushed by a shed pulse, or drained by shutdown. The
+/// core counted it on the way out.
+fn respond(job: Job, outcome: Outcome, latency_us: u64) {
     let _ = job.reply.send(Response {
         id: job.req.id,
         outcome,
@@ -1352,39 +1235,71 @@ fn respond(inner: &Inner, job: Job, outcome: Outcome) {
     });
 }
 
-/// What the queue handed a worker.
-enum Popped {
-    /// Run this job (earliest meetable deadline).
-    Job(Box<Job>),
-    /// These entries expired in queue; shed each, then pop again. The
-    /// sweep pulls them in bulk so expired backlog costs O(batch), not
-    /// one pop-execute-cycle per corpse.
-    Expired(Vec<Job>),
-    /// The service is draining; exit.
-    Drain,
+/// Record an executed job's outcome — breaker feedback when the job ran
+/// through the gate (`gated`), then the core's counters — under one lock,
+/// and answer it.
+fn finish(inner: &Inner, done: Admitted<Job>, outcome: Outcome, gated: bool) {
+    let latency_us = {
+        let mut st = plock(&inner.state);
+        if gated {
+            if let Some(b) = st.breakers.get_mut(&done.job.req.workload) {
+                // Panics, cancellations and budget exhaustions count
+                // against the function, as does an injected frame abort;
+                // a clean completion (probe included) counts for it.
+                match &outcome {
+                    Outcome::Completed { frame_abort: false, .. } => b.on_success(),
+                    Outcome::Completed { .. } | Outcome::Failed(_) => b.on_failure(),
+                    Outcome::Shed(_) => {}
+                }
+            }
+        }
+        st.core.complete(inner.now_us(), &done, &outcome)
+    };
+    respond(done.job, outcome, latency_us);
 }
 
-/// Pop the next job, blocking on the queue condvar. Expired entries are
-/// swept before any dequeue, so EDF never serves a dead entry ahead of a
-/// meetable one. Each wait wakes within [`IDLE_BEAT_MS`] to refresh the
+/// What the queue handed a worker, under one lock acquisition.
+struct Popped {
+    /// The core's clock at the pop.
+    now_us: u64,
+    /// Entries that expired in queue, swept in bulk before the dequeue so
+    /// expired backlog costs O(batch), not one pop-execute cycle per
+    /// corpse. The worker answers each as expired.
+    expired: Vec<Admitted<Job>>,
+    /// The earliest meetable job, if any.
+    job: Option<Admitted<Job>>,
+    /// The job's breaker verdict (see [`State::gate`]).
+    gate: Option<Admission>,
+    /// The brownout level at the pop.
+    level: BrownoutLevel,
+}
+
+/// Pop the next job, blocking on the queue condvar; `None` once the
+/// service drains. Each wait wakes within [`IDLE_BEAT_MS`] to refresh the
 /// worker's heartbeat, so an idle-but-alive worker is distinguishable
 /// from a wedged one.
-fn pop(inner: &Inner, wi: usize) -> Popped {
-    let mut q = plock(&inner.queue);
+fn pop(inner: &Inner, wi: usize) -> Option<Popped> {
+    let mut st = plock(&inner.state);
     loop {
         beat(inner, wi);
-        if inner.draining.load(Ordering::SeqCst) {
-            return Popped::Drain;
+        if st.core.is_draining() {
+            return None;
         }
-        let now_us = inner.epoch.elapsed().as_micros() as u64;
-        let expired = q.sweep_expired(now_us);
-        if !expired.is_empty() {
-            return Popped::Expired(expired);
+        let now_us = inner.now_us();
+        let next = st.core.next(now_us);
+        if next.job.is_some() || !next.expired.is_empty() {
+            let gate = next.job.as_ref().and_then(|a| st.gate(&inner.cfg, &a.job.req));
+            return Some(Popped {
+                now_us,
+                expired: next.expired,
+                job: next.job,
+                gate,
+                level: st.core.level(),
+            });
         }
-        if let Some(j) = q.pop() {
-            return Popped::Job(Box::new(j));
-        }
-        q = pwait_timeout(&inner.queue_cv, q, Duration::from_millis(IDLE_BEAT_MS)).0;
+        st.idle_workers += 1;
+        st = pwait_timeout(&inner.queue_cv, st, Duration::from_millis(IDLE_BEAT_MS)).0;
+        st.idle_workers -= 1;
     }
 }
 
@@ -1396,7 +1311,7 @@ fn worker_main(inner: &Arc<Inner>, wi: usize) {
         if !poisoned {
             return;
         }
-        plock(&inner.metrics).recycles += 1;
+        plock(&inner.state).recycles += 1;
     }
 }
 
@@ -1433,33 +1348,25 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         .collect();
 
     loop {
-        let job = match pop(inner, wi) {
-            Popped::Drain => return false,
-            Popped::Expired(batch) => {
-                // An in-queue expiry is the strongest overload signal the
-                // admission controller gets: the job never even started.
-                if let Some(adm) = plock(&inner.admission).as_mut() {
-                    for _ in 0..batch.len() {
-                        adm.on_expiry();
-                    }
-                }
-                for j in batch {
-                    respond(inner, j, Outcome::Shed(ShedReason::Expired));
-                }
-                continue;
-            }
-            Popped::Job(j) => *j,
+        let Some(popped) = pop(inner, wi) else {
+            return false;
         };
-        // Wedge fault: a stuck process ignores everything — the expiry
-        // check, the breaker gate, the execution legs, and the
-        // cancellation token. Spin in-flight so the slot stays occupied
-        // past the deadline (that overrun is exactly what the shard
-        // watchdog detects); only the hard-kill escalation releases the
-        // worker, which then answers Cancelled so the shard's
-        // accounting still balances.
-        if job.req.fault == Some(InjectedFault::WedgeWorker) {
+        for a in popped.expired {
+            let latency_us = popped.now_us.saturating_sub(a.accepted_us);
+            respond(a.job, Outcome::Shed(ShedReason::Expired), latency_us);
+        }
+        let Some(task) = popped.job else {
+            continue;
+        };
+        // Wedge fault: a stuck process ignores everything — the breaker
+        // gate, the execution legs, and the cancellation token. Spin
+        // in-flight so the slot stays occupied past the deadline (that
+        // overrun is exactly what the shard watchdog detects); only the
+        // hard-kill escalation releases the worker, which then answers
+        // Cancelled so the shard's accounting still balances.
+        if task.job.req.fault == Some(InjectedFault::WedgeWorker) {
             *plock(&inner.inflight[wi]) = Some(Inflight {
-                deadline: job.deadline,
+                deadline: deadline_instant(inner, &task),
                 token: CancelToken::new(),
             });
             while !inner.hard_kill.load(Ordering::SeqCst) {
@@ -1467,47 +1374,31 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
             }
             *plock(&inner.inflight[wi]) = None;
             beat(inner, wi);
-            respond(inner, job, Outcome::Failed(FailReason::Cancelled));
-            continue;
-        }
-
-        // Expiry: accepted but the deadline passed between the sweep and
-        // here. Sheds don't feed the breaker — the function never ran —
-        // but they do tighten admission.
-        if Instant::now() >= job.deadline {
-            if let Some(adm) = plock(&inner.admission).as_mut() {
-                adm.on_expiry();
-            }
-            respond(inner, job, Outcome::Shed(ShedReason::Expired));
+            finish(inner, task, Outcome::Failed(FailReason::Cancelled), false);
             continue;
         }
         let Some((ei, interp)) = interps
-            .get_mut(&job.req.workload)
+            .get_mut(&task.job.req.workload)
             .map(|(i, interp)| (*i, interp))
         else {
-            respond(inner, job, Outcome::Failed(FailReason::UnknownWorkload));
+            finish(inner, task, Outcome::Failed(FailReason::UnknownWorkload), false);
             continue;
         };
         let entry = &entries[ei];
 
-        // Per-function breaker gate.
-        let admission = plock(&inner.breakers)
-            .entry(entry.name.clone())
-            .or_insert_with(|| CircuitBreaker::new(inner.cfg.breaker))
-            .admit();
-        if admission == Admission::Shed {
+        // Per-function breaker gate, decided at the pop.
+        if popped.gate == Some(Admission::Shed) {
             if inner.cfg.breaker_fallback {
                 // Degraded leg: the reference walker, same budgets, same
                 // cancellation. Its outcome does NOT feed the breaker —
                 // probes are the only recovery signal.
-                let (outcome, poisoned) = execute_walker(inner, wi, entry, &job);
-                respond(inner, job, outcome);
+                let (outcome, poisoned) = execute_walker(inner, wi, entry, &task);
+                finish(inner, task, outcome, false);
                 if poisoned {
                     return true;
                 }
             } else {
-                plock(&inner.metrics).breaker_shed += 1;
-                respond(inner, job, Outcome::Failed(FailReason::BreakerOpen));
+                finish(inner, task, Outcome::Failed(FailReason::BreakerOpen), false);
             }
             continue;
         }
@@ -1516,18 +1407,16 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         // forced guard failure — rollback, then host re-execution below.
         // The frame comes from the *current* region epoch; the Arc clone
         // pins that epoch for this invocation even if the governor swaps
-        // the table mid-run.
-        // Brownout ladder: deeper levels shed progressively more optional
-        // work. The level is read once per request from the mirrored
-        // atomic — the ladder itself is only touched by the watchdog.
-        let level = BrownoutLevel::from_u8(inner.brownout_level.load(Ordering::Relaxed));
+        // the table mid-run. Deeper brownout levels shed progressively
+        // more optional work; the level was read at the pop.
+        let level = popped.level;
         let mut frame_ran = false;
         let mut frame_abort = false;
-        if job.req.fault == Some(InjectedFault::GuardFail) && !level.sheds_offload() {
+        if task.job.req.fault == Some(InjectedFault::GuardFail) && !level.sheds_offload() {
             let regions = plock(&inner.regions).clone();
             if let Some(frame) = regions.frames.get(&entry.name) {
                 frame_ran = true;
-                frame_abort = run_frame_abort(frame, &entry.memory, job.req.id);
+                frame_abort = run_frame_abort(frame, &entry.memory, task.job.req.id);
             }
         }
 
@@ -1539,12 +1428,12 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         // sheds: correctness never depends on it.
         let adaptive = inner.cfg.adaptive.as_ref();
         let sampled = !level.sheds_sampling()
-            && adaptive.is_some_and(|g| job.req.id % g.sample_period.max(1) == 0);
+            && adaptive.is_some_and(|g| task.job.req.id % g.sample_period.max(1) == 0);
         let mut profiler =
             sampled.then(|| StreamingProfiler::with_numberings(entry.numberings.clone()));
 
         let (outcome, poisoned) =
-            execute_engine(inner, wi, entry, interp, &job, frame_abort, profiler.as_mut());
+            execute_engine(inner, wi, entry, interp, &task, frame_abort, profiler.as_mut());
 
         if let Some(mut p) = profiler.take() {
             if let Some(epoch) = p.take_epoch().remove(&entry.func) {
@@ -1569,28 +1458,17 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
             }
         }
 
-        // Feed the breaker: panics, cancellations, and budget
-        // exhaustions on this function count against it, as does an
-        // injected frame abort; a clean completion (probe included)
-        // counts for it.
-        {
-            let mut breakers = plock(&inner.breakers);
-            let b = breakers
-                .entry(entry.name.clone())
-                .or_insert_with(|| CircuitBreaker::new(inner.cfg.breaker));
-            match &outcome {
-                Outcome::Completed { .. } if frame_abort => b.on_failure(),
-                Outcome::Completed { .. } => b.on_success(),
-                Outcome::Failed(_) => b.on_failure(),
-                Outcome::Shed(_) => {}
-            }
-        }
-
-        respond(inner, job, outcome);
+        finish(inner, task, outcome, true);
         if poisoned {
             return true;
         }
     }
+}
+
+/// The wall-clock instant of a job's deadline (the watchdog's cancel
+/// point).
+fn deadline_instant(inner: &Inner, task: &Admitted<Job>) -> Instant {
+    inner.epoch + Duration::from_micros(task.deadline_us)
 }
 
 /// The request's effective argument vector: the catalog entry's args
@@ -1612,25 +1490,24 @@ fn execute_engine(
     wi: usize,
     entry: &Entry,
     interp: &mut Interp<'_>,
-    job: &Job,
+    task: &Admitted<Job>,
     frame_abort: bool,
     profiler: Option<&mut StreamingProfiler>,
 ) -> (Outcome, bool) {
-    interp.max_steps = job.fuel;
-    interp.max_pages = job.max_pages;
+    interp.max_steps = task.job.fuel;
+    interp.max_pages = task.job.max_pages;
     let token = CancelToken::new();
     interp.set_cancel(Some(token.clone()));
     *plock(&inner.inflight[wi]) = Some(Inflight {
-        deadline: job.deadline,
+        deadline: deadline_instant(inner, task),
         token,
     });
 
-    let args = job_args(entry, job);
-    let panic_me = job.req.fault == Some(InjectedFault::PanicWorker);
-    let t0 = Instant::now();
+    let args = job_args(entry, &task.job);
+    let panic_me = task.job.req.fault == Some(InjectedFault::PanicWorker);
     let result = catch_unwind(AssertUnwindSafe(|| {
         if panic_me {
-            panic!("injected worker panic (request {})", job.req.id);
+            panic!("injected worker panic (request {})", task.job.req.id);
         }
         let mut mem = entry.memory.clone();
         match profiler {
@@ -1638,23 +1515,12 @@ fn execute_engine(
             None => interp.run_with(entry.func, &args, &mut mem, &mut NullSink),
         }
     }));
-    let service_us = t0.elapsed().as_micros() as f64;
     *plock(&inner.inflight[wi]) = None;
     // Beat immediately: the heartbeat went stale during execution, and
     // the busy flag just cleared — without this, a supervisor sampling
     // the gap would see an idle worker with a stale beat.
     beat(inner, wi);
     interp.set_cancel(None);
-
-    // Admission estimate: EWMA over observed service times.
-    {
-        let mut ewma = plock(&inner.ewma_us);
-        *ewma = if *ewma == 0.0 {
-            service_us
-        } else {
-            *ewma * 0.8 + service_us * 0.2
-        };
-    }
 
     match result {
         Ok(r) => (
@@ -1667,25 +1533,29 @@ fn execute_engine(
 
 /// Breaker-open fallback: the reference walker under the same budgets
 /// and cancellation discipline.
-fn execute_walker(inner: &Inner, wi: usize, entry: &Entry, job: &Job) -> (Outcome, bool) {
+fn execute_walker(
+    inner: &Inner,
+    wi: usize,
+    entry: &Entry,
+    task: &Admitted<Job>,
+) -> (Outcome, bool) {
     let token = CancelToken::new();
     let interp = Interp::new(&entry.module)
-        .with_max_steps(job.fuel)
-        .with_max_pages(job.max_pages)
+        .with_max_steps(task.job.fuel)
+        .with_max_pages(task.job.max_pages)
         .with_cancel(Some(token.clone()))
         .with_cancel_interval(inner.cfg.cancel_interval);
     *plock(&inner.inflight[wi]) = Some(Inflight {
-        deadline: job.deadline,
+        deadline: deadline_instant(inner, task),
         token,
     });
-    let args = job_args(entry, job);
+    let args = job_args(entry, &task.job);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut mem = entry.memory.clone();
         interp.run_reference(entry.func, &args, &mut mem, &mut NullSink)
     }));
     *plock(&inner.inflight[wi]) = None;
     beat(inner, wi);
-    plock(&inner.metrics).breaker_shed += 1;
     match result {
         Ok(r) => (classify(r, true, false), false),
         Err(_) => (Outcome::Failed(FailReason::Panicked), true),
@@ -1955,7 +1825,10 @@ fn governor_main(inner: &Arc<Inner>, stop: &AtomicBool) {
     let mut miscompile_armed = cfg.inject_miscompile_at_epoch.is_some();
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(cfg.tick_ms.max(1)));
-        let accepted = plock(&inner.metrics).accepted;
+        let (accepted, level) = {
+            let st = plock(&inner.state);
+            (st.core.metrics().accepted, st.core.level())
+        };
         if accepted.saturating_sub(last_accepted) < cfg.epoch_requests.max(1) {
             continue;
         }
@@ -1966,7 +1839,6 @@ fn governor_main(inner: &Arc<Inner>, stop: &AtomicBool) {
         // service does, and the first thing the ladder sheds. Skip the
         // whole epoch pipeline (profiles keep accumulating for when the
         // ladder climbs back).
-        let level = BrownoutLevel::from_u8(inner.brownout_level.load(Ordering::Relaxed));
         if level.sheds_rerank() {
             let mut gs = plock(&inner.governor_stats);
             gs.epochs = epoch_n;
@@ -2511,13 +2383,16 @@ impl std::fmt::Display for SoakReport {
     }
 }
 
-/// Book-keeping for the exactly-once check: ids the driver knows were
-/// accepted, and how many responses each has received. Shared with the
-/// shard-chaos soak driver ([`crate::shard`]).
+/// The soak drivers' side of the exactly-once check: the requests offered,
+/// the ids the service accepted, and how many responses each has
+/// received. Shared with the shard-chaos soak driver ([`crate::shard`]).
 pub(crate) struct Ledger {
     pub(crate) accepted: HashMap<u64, u64>,
     pub(crate) responses: u64,
     pub(crate) violations: Vec<String>,
+    /// Requests offered, each counted once however often it was retried.
+    pub(crate) submitted: u64,
+    next_id: u64,
 }
 
 impl Ledger {
@@ -2526,11 +2401,56 @@ impl Ledger {
             accepted: HashMap::new(),
             responses: 0,
             violations: Vec::new(),
+            submitted: 0,
+            next_id: 1,
         }
     }
 
-    pub(crate) fn accept(&mut self, id: u64) {
-        self.accepted.insert(id, 0);
+    /// A fresh request id.
+    pub(crate) fn next_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// Offer `req`, recording acceptance. While the service refuses it for
+    /// a reason `retry` covers, drain responses, back off 200 µs and
+    /// resubmit, for at most 30 s. Returns whether it was accepted.
+    pub(crate) fn offer(
+        &mut self,
+        submit: &dyn Fn(Request) -> Result<(), ShedReason>,
+        rx: &Receiver<Response>,
+        req: Request,
+        retry: impl Fn(ShedReason) -> bool,
+    ) -> bool {
+        self.submitted += 1;
+        let t0 = Instant::now();
+        loop {
+            match submit(req.clone()) {
+                Ok(()) => {
+                    self.accepted.insert(req.id, 0);
+                    return true;
+                }
+                Err(reason) if retry(reason) && t0.elapsed() < Duration::from_secs(30) => {
+                    self.drain(rx);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// The drain tail: a burst of plain requests offered without waiting,
+    /// so shutdown finds them queued and must answer each as shed.
+    pub(crate) fn offer_tail(
+        &mut self,
+        submit: &dyn Fn(Request) -> Result<(), ShedReason>,
+        rx: &Receiver<Response>,
+    ) {
+        for _ in 0..8 {
+            let req = Request::new(self.next_id(), "svc.sum");
+            self.offer(submit, rx, req, |_| false);
+        }
     }
 
     pub(crate) fn on_response(&mut self, r: &Response) {
@@ -2572,23 +2492,71 @@ impl Ledger {
             }
         }
     }
+
+    /// The exactly-once verdict once the service has shut down and its
+    /// responses are drained: every response matched an accepted id at
+    /// most once, every accepted id was answered, the service's counters
+    /// balance (`imbalance`), and the service's accepted count, when given,
+    /// matches the driver's (`who` names the service in the message).
+    pub(crate) fn verify(
+        &mut self,
+        who: &str,
+        accepted: Option<u64>,
+        imbalance: Option<String>,
+    ) -> Vec<String> {
+        let mut violations = std::mem::take(&mut self.violations);
+        for (id, n) in &self.accepted {
+            if *n == 0 {
+                violations.push(format!("request {id} accepted but never answered (lost)"));
+            }
+        }
+        violations.extend(imbalance);
+        if let Some(n) = accepted.filter(|n| *n != self.accepted.len() as u64) {
+            violations.push(format!(
+                "{who} accepted {n} but driver recorded {}",
+                self.accepted.len()
+            ));
+        }
+        violations
+    }
 }
 
-/// Offer one request to the service, recording acceptance in the ledger.
-fn offer(
-    svc: &Service,
-    tx: &Sender<Response>,
-    ledger: &mut Ledger,
-    req: Request,
-) -> Result<u64, ShedReason> {
-    let id = req.id;
-    match svc.submit(req, tx) {
-        Ok(()) => {
-            ledger.accept(id);
-            Ok(id)
+/// One request of the soaks' seeded mixed load: mostly `svc.sum`, with
+/// memory and fuel pressure, and under `chaos` a runaway-loop deadline
+/// storm plus a 2% chance of an injected worker panic.
+pub(crate) fn mixed_request(rng: &mut StdRng, id: u64, chaos: bool) -> Request {
+    let roll: f64 = rng.gen_range(0.0..1.0);
+    let mut req = if roll < 0.55 {
+        Request::new(id, "svc.sum")
+    } else if roll < 0.70 {
+        // Memory-governor pressure: a page cap below the stride count is
+        // a deterministic MemLimit.
+        let mut r = Request::new(id, "svc.mem");
+        if chaos && rng.gen_bool(0.5) {
+            r.max_pages = rng.gen_range(1usize..6);
         }
-        Err(reason) => Err(reason),
+        r
+    } else if roll < 0.80 {
+        // Fuel pressure: a tiny budget is a deterministic StepLimit.
+        let mut r = Request::new(id, "svc.sum");
+        if chaos {
+            r.fuel = rng.gen_range(1u64..64);
+        }
+        r
+    } else if chaos && roll < 0.88 {
+        // Deadline storm: a runaway loop with a short deadline and
+        // practically-unbounded fuel — only cancellation stops it.
+        let mut r = Request::new(id, "999.loop");
+        r.deadline_ms = rng.gen_range(2u64..10);
+        r.fuel = u64::MAX / 4;
+        r
+    } else {
+        Request::new(id, "svc.flaky")
+    };
+    if chaos && rng.gen_bool(0.02) {
+        req.fault = Some(InjectedFault::PanicWorker);
     }
+    req
 }
 
 /// Drive a seeded soak: a deterministic breaker-trip prelude, a probed
@@ -2598,20 +2566,18 @@ fn offer(
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
     let service = Service::start(cfg.serve.clone())?;
     let (tx, rx) = std::sync::mpsc::channel::<Response>();
+    let submit = |r: Request| service.submit(r, &tx);
     let mut ledger = Ledger::new();
-    let mut submitted = 0u64;
-    let mut next_id = 1u64;
 
     // Phase 1 (chaos): a deterministic panic storm on one function trips
     // its breaker — `threshold` consecutive poisons, submitted
     // sequentially so the streak cannot interleave.
     if cfg.chaos {
         for _ in 0..cfg.serve.breaker.threshold.max(1) {
-            let mut req = Request::new(next_id, "svc.flaky");
-            next_id += 1;
+            let mut req = Request::new(ledger.next_id(), "svc.flaky");
             req.fault = Some(InjectedFault::PanicWorker);
-            submitted += 1;
-            if let Ok(id) = offer(&service, &tx, &mut ledger, req) {
+            let id = req.id;
+            if ledger.offer(&submit, &rx, req, |_| false) {
                 ledger.wait_for(&rx, id);
             }
         }
@@ -2619,56 +2585,25 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
         // through its cooldown (fallback or fast-fail), then the probe
         // executes clean and recovers it.
         for _ in 0..cfg.serve.breaker.cooldown + 2 {
-            let req = Request::new(next_id, "svc.flaky");
-            next_id += 1;
-            submitted += 1;
-            if let Ok(id) = offer(&service, &tx, &mut ledger, req) {
+            let req = Request::new(ledger.next_id(), "svc.flaky");
+            let id = req.id;
+            if ledger.offer(&submit, &rx, req, |_| false) {
                 ledger.wait_for(&rx, id);
             }
         }
     }
 
-    // Phase 3: the seeded main mix.
+    // Phase 3: the seeded main mix, plus guard failures on the frame leg.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let frame_leg = cfg.serve.frame_workload.clone();
+    let frame_leg = cfg.serve.frame_workload.as_ref();
     for _ in 0..cfg.requests {
-        let roll: f64 = rng.gen_range(0.0..1.0);
-        let mut req = if roll < 0.55 {
-            Request::new(next_id, "svc.sum")
-        } else if roll < 0.70 {
-            // Memory-governor pressure: a page cap below the stride
-            // count is a deterministic MemLimit.
-            let mut r = Request::new(next_id, "svc.mem");
-            if cfg.chaos && rng.gen_bool(0.5) {
-                r.max_pages = rng.gen_range(1usize..6);
-            }
-            r
-        } else if roll < 0.80 {
-            // Fuel pressure: a tiny budget is a deterministic StepLimit.
-            let mut r = Request::new(next_id, "svc.sum");
-            if cfg.chaos {
-                r.fuel = rng.gen_range(1u64..64);
-            }
-            r
-        } else if cfg.chaos && roll < 0.88 {
-            // Deadline storm: a runaway loop with a short deadline and
-            // practically-unbounded fuel — only cancellation stops it.
-            let mut r = Request::new(next_id, "999.loop");
-            r.deadline_ms = rng.gen_range(2u64..10);
-            r.fuel = u64::MAX / 4;
-            r
-        } else {
-            Request::new(next_id, "svc.flaky")
-        };
-        next_id += 1;
-        if cfg.chaos {
-            if rng.gen_bool(0.02) {
-                req.fault = Some(InjectedFault::PanicWorker);
-            } else if let Some(fw) = &frame_leg {
-                if *fw == req.workload && rng.gen_bool(0.05) {
-                    req.fault = Some(InjectedFault::GuardFail);
-                }
-            }
+        let mut req = mixed_request(&mut rng, ledger.next_id(), cfg.chaos);
+        if cfg.chaos
+            && req.fault.is_none()
+            && frame_leg == Some(&req.workload)
+            && rng.gen_bool(0.05)
+        {
+            req.fault = Some(InjectedFault::GuardFail);
         }
         // Backpressure: a full queue means the driver is ahead of the
         // pool — drain responses and retry instead of fire-and-forget
@@ -2676,52 +2611,17 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
         // the typed shed path, and the drain-tail burst below queues
         // without waiting). `submitted` counts requests, not attempts,
         // so the stream stays a pure function of the seed.
-        submitted += 1;
-        let t0 = Instant::now();
-        loop {
-            match offer(&service, &tx, &mut ledger, req.clone()) {
-                Ok(_) => break,
-                Err(ShedReason::QueueFull) if t0.elapsed() < Duration::from_secs(30) => {
-                    ledger.drain(&rx);
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(_) => break,
-            }
-        }
+        ledger.offer(&submit, &rx, req, |r| r == ShedReason::QueueFull);
         ledger.drain(&rx);
     }
 
     // Phase 4: drain tail — leave a burst in the queue, then shut down;
     // queued leftovers must come back as shed, not vanish.
-    for _ in 0..8 {
-        let req = Request::new(next_id, "svc.sum");
-        next_id += 1;
-        submitted += 1;
-        let _ = offer(&service, &tx, &mut ledger, req);
-    }
+    ledger.offer_tail(&submit, &rx);
     let metrics = service.shutdown();
     ledger.drain(&rx);
 
-    // Verify.
-    let mut violations = std::mem::take(&mut ledger.violations);
-    for (id, n) in &ledger.accepted {
-        if *n == 0 {
-            violations.push(format!("request {id} accepted but never answered (lost)"));
-        }
-    }
-    if !metrics.invariant_holds() {
-        violations.push(format!(
-            "counter imbalance: accepted {} != completed {} + failed {} + shed {}",
-            metrics.accepted, metrics.completed, metrics.failed, metrics.shed_after_accept
-        ));
-    }
-    if metrics.accepted != ledger.accepted.len() as u64 {
-        violations.push(format!(
-            "service accepted {} but driver recorded {}",
-            metrics.accepted,
-            ledger.accepted.len()
-        ));
-    }
+    let mut violations = ledger.verify("service", Some(metrics.accepted), metrics.imbalance());
     if cfg.chaos {
         if metrics.trips() == 0 {
             violations.push("chaos soak never tripped a breaker".into());
@@ -2733,7 +2633,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
 
     Ok(SoakReport {
         seed: cfg.seed,
-        submitted,
+        submitted: ledger.submitted,
         accepted: metrics.accepted,
         responses: ledger.responses,
         metrics,
@@ -2867,39 +2767,21 @@ fn pump_stage(
     tx: &Sender<Response>,
     rx: &Receiver<Response>,
     ledger: &mut Ledger,
-    submitted: &mut u64,
-    next_id: &mut u64,
     rng: &mut StdRng,
     budget: u64,
     mut make: impl FnMut(u64, &mut StdRng) -> Request,
     done: impl Fn(&MetricsSnapshot) -> bool,
 ) -> bool {
+    let submit = |r: Request| svc.submit(r, tx);
     let mut sent = 0u64;
     while sent < budget {
         for _ in 0..32 {
             if sent >= budget {
                 break;
             }
-            let req = make(*next_id, rng);
-            *next_id += 1;
-            *submitted += 1;
+            let req = make(ledger.next_id(), rng);
             sent += 1;
-            let t0 = Instant::now();
-            loop {
-                match svc.submit(req.clone(), tx) {
-                    Ok(()) => {
-                        ledger.accept(req.id);
-                        break;
-                    }
-                    Err(ShedReason::QueueFull)
-                        if t0.elapsed() < Duration::from_secs(30) =>
-                    {
-                        ledger.drain(rx);
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(_) => break,
-                }
-            }
+            ledger.offer(&submit, rx, req, |r| r == ShedReason::QueueFull);
             ledger.drain(rx);
         }
         if done(&svc.metrics()) {
@@ -2937,8 +2819,6 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
     let svc = AdaptiveSvc::start(cfg)?;
     let (tx, rx) = std::sync::mpsc::channel::<Response>();
     let mut ledger = Ledger::new();
-    let mut submitted = 0u64;
-    let mut next_id = 1u64;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut violations: Vec<String> = Vec::new();
     let budget = cfg.phase_requests.max(64);
@@ -2949,8 +2829,6 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
         &tx,
         &rx,
         &mut ledger,
-        &mut submitted,
-        &mut next_id,
         &mut rng,
         budget,
         |id, rng| {
@@ -2978,8 +2856,6 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
         &tx,
         &rx,
         &mut ledger,
-        &mut submitted,
-        &mut next_id,
         &mut rng,
         budget,
         |id, rng| {
@@ -3014,8 +2890,6 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
         &tx,
         &rx,
         &mut ledger,
-        &mut submitted,
-        &mut next_id,
         &mut rng,
         budget,
         |id, _| {
@@ -3042,8 +2916,6 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
         &tx,
         &rx,
         &mut ledger,
-        &mut submitted,
-        &mut next_id,
         &mut rng,
         budget,
         |id, _| {
@@ -3064,26 +2936,11 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
     ledger.drain(&rx);
 
     // Exactly-once verification, same discipline as `run_soak`.
-    let mut ledger_violations = std::mem::take(&mut ledger.violations);
-    violations.append(&mut ledger_violations);
-    for (id, n) in &ledger.accepted {
-        if *n == 0 {
-            violations.push(format!("request {id} accepted but never answered (lost)"));
-        }
-    }
-    if !metrics.invariant_holds() {
-        violations.push(format!(
-            "counter imbalance: accepted {} != completed {} + failed {} + shed {}",
-            metrics.accepted, metrics.completed, metrics.failed, metrics.shed_after_accept
-        ));
-    }
-    if !sharded && metrics.accepted != ledger.accepted.len() as u64 {
-        violations.push(format!(
-            "service accepted {} but driver recorded {}",
-            metrics.accepted,
-            ledger.accepted.len()
-        ));
-    }
+    violations.extend(ledger.verify(
+        "service",
+        (!sharded).then_some(metrics.accepted),
+        metrics.imbalance(),
+    ));
 
     // Governor-specific verdicts.
     let g = &metrics.governor;
@@ -3143,7 +3000,7 @@ pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleE
 
     Ok(SoakReport {
         seed: cfg.seed,
-        submitted,
+        submitted: ledger.submitted,
         accepted: metrics.accepted,
         responses: ledger.responses,
         metrics,

@@ -54,8 +54,8 @@ use crate::config::ShardPolicy;
 use crate::error::NeedleError;
 use crate::journal::{self, fnv1a64, Journal, Json};
 use crate::serve::{
-    FailReason, InjectedFault, Ledger, MetricsSnapshot, Outcome, Request, Response, ServeConfig,
-    Service, ShedReason,
+    mixed_request, FailReason, InjectedFault, Ledger, MetricsSnapshot, Outcome, Request, Response,
+    ServeConfig, Service, ShedReason,
 };
 use crate::supervisor::jittered_backoff;
 use crate::sync::plock;
@@ -265,6 +265,17 @@ impl ShardedMetrics {
         self.router.invariant_holds()
             && self.shards.iter().all(|s| s.metrics.invariant_holds())
             && self.rollup().invariant_holds()
+    }
+
+    /// Why [`invariant_holds`](Self::invariant_holds) fails, if it does.
+    pub(crate) fn imbalance(&self) -> Option<String> {
+        let r = &self.router;
+        (!self.invariant_holds()).then(|| {
+            format!(
+                "counter imbalance: router accepted {} vs completed {} + failed {} + shed {} (orphans {})",
+                r.accepted, r.completed, r.failed, r.shed_after_accept, r.orphan_responses
+            )
+        })
     }
 }
 
@@ -1246,24 +1257,6 @@ impl std::fmt::Display for ShardSoakReport {
     }
 }
 
-/// Offer one request to the sharded service, recording admission in
-/// the driver-side ledger.
-fn offer_sharded(
-    svc: &ShardedService,
-    tx: &Sender<Response>,
-    ledger: &mut Ledger,
-    req: Request,
-) -> Result<u64, ShedReason> {
-    let id = req.id;
-    match svc.submit(req, tx) {
-        Ok(()) => {
-            ledger.accept(id);
-            Ok(id)
-        }
-        Err(reason) => Err(reason),
-    }
-}
-
 /// Drive a seeded multi-shard soak: a mixed load with two crash-style
 /// shard kills (one aimed at a shard with known in-flight work, so
 /// failover is always exercised), one wedged worker the watchdog must
@@ -1284,6 +1277,7 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
     }
     let svc = ShardedService::start(cfg.sharded.clone())?;
     let (tx, rx) = std::sync::mpsc::channel::<Response>();
+    let submit = |r: Request| svc.submit(r, &tx);
     let mut ledger = Ledger::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n_shards = cfg.sharded.policy.shards;
@@ -1312,25 +1306,9 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
         .find(|s| *s != wedge_home && *s != kill2_shard)
         .unwrap_or_else(|| (wedge_home + 1) % n_shards.max(1));
 
-    let mut submitted = 0u64;
-    let mut next_id = 1u64;
-    let blocking_offer = |svc: &ShardedService, ledger: &mut Ledger, req: Request| {
-        let t0 = Instant::now();
-        loop {
-            match offer_sharded(svc, &tx, ledger, req.clone()) {
-                Ok(_) => break,
-                // QueueFull is backpressure; Draining is a restart
-                // window with no live successor. Both clear.
-                Err(ShedReason::QueueFull | ShedReason::Draining)
-                    if t0.elapsed() < Duration::from_secs(30) =>
-                {
-                    ledger.drain(&rx);
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(_) => break,
-            }
-        }
-    };
+    // QueueFull is backpressure; Draining is a restart window with no
+    // live successor. Both clear.
+    let clears = |r: ShedReason| matches!(r, ShedReason::QueueFull | ShedReason::Draining);
 
     for i in 0..reqs {
         if cfg.shard_chaos && i == kill1_at {
@@ -1339,12 +1317,10 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
             // so failover is exercised on every run.
             let target = svc.shard_for("999.loop");
             for _ in 0..3 {
-                let mut r = Request::new(next_id, "999.loop");
-                next_id += 1;
+                let mut r = Request::new(ledger.next_id(), "999.loop");
                 r.deadline_ms = 400;
                 r.fuel = u64::MAX / 4;
-                submitted += 1;
-                blocking_offer(&svc, &mut ledger, r);
+                ledger.offer(&submit, &rx, r, clears);
             }
             svc.kill_shard(target);
         }
@@ -1356,18 +1332,10 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
             // expired job — stuck processes don't check deadlines).
             // Admission retries every shed reason: a loaded home shard
             // may report unmeetable, but the wedge must land.
-            let mut r = Request::new(next_id, "svc.sum");
-            next_id += 1;
+            let mut r = Request::new(ledger.next_id(), "svc.sum");
             r.deadline_ms = 25;
             r.fault = Some(InjectedFault::WedgeWorker);
-            submitted += 1;
-            let t0 = Instant::now();
-            while offer_sharded(&svc, &tx, &mut ledger, r.clone()).is_err()
-                && t0.elapsed() < Duration::from_secs(30)
-            {
-                ledger.drain(&rx);
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            ledger.offer(&submit, &rx, r, |_| true);
         }
         if cfg.shard_chaos && i == kill2_at {
             // The seeded target may still be restarting from earlier
@@ -1387,35 +1355,8 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
 
         // The same mixed load as the single-shard soak, spread across
         // shards by workload hash.
-        let roll: f64 = rng.gen_range(0.0..1.0);
-        let mut req = if roll < 0.55 {
-            Request::new(next_id, "svc.sum")
-        } else if roll < 0.70 {
-            let mut r = Request::new(next_id, "svc.mem");
-            if cfg.shard_chaos && rng.gen_bool(0.5) {
-                r.max_pages = rng.gen_range(1usize..6);
-            }
-            r
-        } else if roll < 0.80 {
-            let mut r = Request::new(next_id, "svc.sum");
-            if cfg.shard_chaos {
-                r.fuel = rng.gen_range(1u64..64);
-            }
-            r
-        } else if cfg.shard_chaos && roll < 0.88 {
-            let mut r = Request::new(next_id, "999.loop");
-            r.deadline_ms = rng.gen_range(2u64..10);
-            r.fuel = u64::MAX / 4;
-            r
-        } else {
-            Request::new(next_id, "svc.flaky")
-        };
-        next_id += 1;
-        if cfg.shard_chaos && rng.gen_bool(0.02) {
-            req.fault = Some(InjectedFault::PanicWorker);
-        }
-        submitted += 1;
-        blocking_offer(&svc, &mut ledger, req);
+        let req = mixed_request(&mut rng, ledger.next_id(), cfg.shard_chaos);
+        ledger.offer(&submit, &rx, req, clears);
         ledger.drain(&rx);
     }
 
@@ -1436,36 +1377,12 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
 
     // Drain tail: leave a burst queued, then shut down — leftovers
     // must come back shed, not vanish.
-    for _ in 0..8 {
-        let req = Request::new(next_id, "svc.sum");
-        next_id += 1;
-        submitted += 1;
-        let _ = offer_sharded(&svc, &tx, &mut ledger, req);
-    }
+    ledger.offer_tail(&submit, &rx);
     let metrics = svc.shutdown();
     ledger.drain(&rx);
 
-    // Verify.
-    let mut violations = std::mem::take(&mut ledger.violations);
-    for (id, n) in &ledger.accepted {
-        if *n == 0 {
-            violations.push(format!("request {id} accepted but never answered (lost)"));
-        }
-    }
-    if !metrics.invariant_holds() {
-        let r = &metrics.router;
-        violations.push(format!(
-            "counter imbalance: router accepted {} vs completed {} + failed {} + shed {} (orphans {})",
-            r.accepted, r.completed, r.failed, r.shed_after_accept, r.orphan_responses
-        ));
-    }
-    if metrics.router.accepted != ledger.accepted.len() as u64 {
-        violations.push(format!(
-            "router accepted {} but driver recorded {}",
-            metrics.router.accepted,
-            ledger.accepted.len()
-        ));
-    }
+    let mut violations =
+        ledger.verify("router", Some(metrics.router.accepted), metrics.imbalance());
     if cfg.shard_chaos {
         let r = &metrics.router;
         if r.kills < 3 {
@@ -1509,7 +1426,7 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleEr
 
     Ok(ShardSoakReport {
         seed: cfg.seed,
-        submitted,
+        submitted: ledger.submitted,
         accepted: metrics.router.accepted,
         responses: ledger.responses,
         metrics,

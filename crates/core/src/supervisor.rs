@@ -1382,10 +1382,14 @@ mod tests {
                 repro_dir: None,
             },
         }];
+        // The default deadline, not `fast_sup`'s 200 ms runaway fixture:
+        // eight fuzz iterations in a debug build can outlast 200 ms on a
+        // loaded machine, and this test checks the payload, not the
+        // deadline.
         let r = run_supervised(
             units,
             &NeedleConfig::default(),
-            &fast_sup(),
+            &SupervisorConfig::default(),
             &CampaignOptions::default(),
         )
         .unwrap();

@@ -343,3 +343,120 @@ fn prop_edf_never_serves_expired_ahead_of_meetable() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Service-core properties
+// ---------------------------------------------------------------------------
+
+use needle::{
+    Admitted, AimdConfig, BrownoutConfig, FailReason, MetastableConfig, Outcome, ServeConfig,
+    ServiceCore, ShedReason,
+};
+
+/// Seeded random offer / next / complete / tick / drain sequences against
+/// the service core, hardened and with every overload option off, at
+/// every forced brownout level. Along every walk: each offer is either
+/// accepted or shed at admission; every accepted job is queued, running,
+/// or counted out exactly once; `next` never hands out an entry whose
+/// deadline has passed; and a core without overload options refuses only
+/// when its queue is full. After drain and the last completions the
+/// ledger closes: `accepted == completed + failed + shed_after_accept`.
+#[test]
+fn prop_service_core_ledger_closes_at_every_brownout_level() {
+    let levels = [
+        None,
+        Some(BrownoutLevel::Full),
+        Some(BrownoutLevel::NoRerank),
+        Some(BrownoutLevel::NoSampling),
+        Some(BrownoutLevel::NoOffload),
+    ];
+    const DEPTH: usize = 16;
+    for seed in [1u64, 7, 42, 0xDEAD] {
+        for level in levels {
+            for hardened in [true, false] {
+                let ctx = format!("seed {seed} level {level:?} hardened {hardened}");
+                let mut core: ServiceCore<u64> = ServiceCore::new(&ServeConfig {
+                    workers: 2,
+                    queue_depth: DEPTH,
+                    default_deadline_ms: 1,
+                    adaptive_admission: hardened.then(AimdConfig::default),
+                    brownout: hardened.then(BrownoutConfig::default),
+                    metastable: hardened.then_some(MetastableConfig {
+                        warmup_windows: 2,
+                        confirm_windows: 1,
+                        ..MetastableConfig::default()
+                    }),
+                    ..ServeConfig::default()
+                });
+                if let Some(l) = level {
+                    core.force_level(l);
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut now = 0u64;
+                let mut running: Vec<Admitted<u64>> = Vec::new();
+                let (mut offers, mut window_offers) = (0u64, 0u64);
+                for step in 0..3_000u64 {
+                    if step == 2_700 {
+                        core.drain(now);
+                    }
+                    let drained = core.is_draining();
+                    match rng.gen_range(0u32..10) {
+                        0..=3 => {
+                            offers += 1;
+                            window_offers += 1;
+                            let full = core.queue_len() == DEPTH;
+                            let deadline = now + rng.gen_range(1u64..3_000);
+                            let refused = core.offer(now, deadline, step).err();
+                            if let (Some((reason, _)), false) = (refused, hardened) {
+                                let expected = match drained {
+                                    true => ShedReason::Draining,
+                                    false => ShedReason::QueueFull,
+                                };
+                                assert_eq!(reason, expected, "{ctx}: refused at step {step}");
+                                assert!(drained || full, "{ctx}: refused below capacity");
+                            }
+                        }
+                        4..=5 if running.len() < 2 => {
+                            let next = core.next(now);
+                            for e in &next.expired {
+                                assert!(e.deadline_us <= now, "{ctx}: swept a live entry");
+                            }
+                            if let Some(job) = next.job {
+                                assert!(job.deadline_us > now, "{ctx}: served an expired entry");
+                                running.push(job);
+                            }
+                        }
+                        6..=7 if !running.is_empty() => {
+                            let job = running.swap_remove(rng.gen_range(0..running.len()));
+                            let outcome = match rng.gen_range(0u32..3) {
+                                0 => Outcome::Failed(FailReason::Cancelled),
+                                _ => Outcome::Completed { fallback: false, frame_abort: false },
+                            };
+                            core.complete(now, &job, &outcome);
+                        }
+                        8 => {
+                            core.tick(now, std::mem::take(&mut window_offers));
+                        }
+                        _ => now += rng.gen_range(0u64..400),
+                    }
+                    let m = core.metrics();
+                    let sheds = m.shed_queue_full
+                        + m.shed_unmeetable
+                        + m.shed_throttled
+                        + m.shed_pre_draining;
+                    assert_eq!(offers, m.accepted + sheds, "{ctx}: admission split at {step}");
+                    let out = m.completed + m.failed + m.shed_after_accept;
+                    let held = (core.queue_len() + running.len()) as u64;
+                    assert_eq!(m.accepted, out + held, "{ctx}: job lost or doubled at {step}");
+                }
+                let done = Outcome::Completed { fallback: false, frame_abort: false };
+                for job in running.drain(..) {
+                    core.complete(now, &job, &done);
+                }
+                let m = core.metrics();
+                assert!(m.invariant_holds(), "{ctx}: {m}");
+                assert!(m.accepted > 0 && m.shed_pre_draining > 0, "{ctx}: trace too short");
+            }
+        }
+    }
+}
