@@ -130,16 +130,16 @@ USAGE:
                  [--no-adaptive-admission] [--out PATH] [--check]
       Deterministic open-loop load generation against a virtual-time
       simulation that runs the serving stack's own service core per
-      shard (EDF queue + expired sweep, AIMD adaptive admission,
-      brownout ladder, metastable detector + shed pulse). Arrivals
-      follow the scenario curve (steady | diurnal | burst | adversarial
-      | retry-storm) regardless of service health; clients retry under
-      per-client budgets with jittered exponential backoff, and the
-      retry-storm scenario adds a misbehaving-client population with
-      near-zero backoff. retry-storm always runs the hardened and
+      shard (EDF queue + expired sweep, AIMD adaptive admission with
+      the unmeetable-deadline test, metastable detector + shed pulse).
+      Arrivals follow the scenario curve (steady | diurnal | burst |
+      adversarial | retry-storm) regardless of service health; clients
+      retry under per-client budgets with jittered exponential backoff,
+      and the retry-storm scenario adds a misbehaving-client population
+      with near-zero backoff. retry-storm always runs the hardened and
       baseline (queue-full only) cores side by side; other scenarios
-      honour --no-adaptive-admission. Reports offered load, goodput, the shed
-      breakdown (queue-full / throttled / unmeetable), and exact
+      honour --no-adaptive-admission. Reports offered load, goodput, the
+      shed breakdown (queue-full / throttled / unmeetable), and exact
       p50/p99/p999 latency per phase. Same seed → identical report
       (modulo the generated_unix_ms stamp). --out writes the
       needle-report/v1 JSON artifact; --check enforces the overload

@@ -309,9 +309,6 @@ pub enum EventKind {
     /// The certification gate refused to publish a frame (refuted, or
     /// unproven under `RequireProof`); the incumbent stayed installed.
     CertRefused,
-    /// The brownout ladder changed level (descent under pressure or
-    /// hysteresis-gated ascent back toward full service).
-    Brownout,
     /// The metastable-failure detector fired (goodput collapse at normal
     /// offered load) or declared recovery.
     Metastable,
@@ -327,7 +324,6 @@ impl std::fmt::Display for EventKind {
             EventKind::Malformed => "malformed-epoch",
             EventKind::BuildFailed => "build-failed",
             EventKind::CertRefused => "cert-refused",
-            EventKind::Brownout => "brownout",
             EventKind::Metastable => "metastable",
         };
         write!(f, "{s}")
@@ -361,9 +357,6 @@ pub struct GovernorStats {
     pub frame_build_errors: u64,
     /// Publishes refused by the certification gate.
     pub cert_refusals: u64,
-    /// Epochs skipped whole because the brownout ladder had shed
-    /// re-ranking (the cheapest response to overload: do less).
-    pub brownout_skipped_epochs: u64,
     /// Symbolic certification counters + solve-time distribution.
     pub cert: crate::certify::CertStats,
     /// Promote/demote timeline (capped at [`TIMELINE_CAP`]).
@@ -390,7 +383,6 @@ impl GovernorStats {
         self.malformed_epochs += other.malformed_epochs;
         self.frame_build_errors += other.frame_build_errors;
         self.cert_refusals += other.cert_refusals;
-        self.brownout_skipped_epochs += other.brownout_skipped_epochs;
         self.cert.merge_from(&other.cert);
         for e in &other.timeline {
             self.push_event(e.clone());

@@ -82,9 +82,8 @@ pub use loadgen::{
     PhaseStats, Scenario,
 };
 pub use overload::{
-    Admitted, AimdAdmission, AimdConfig, BrownoutConfig, BrownoutLadder, BrownoutLevel,
-    BrownoutTransition, DeadlineQueue, MetastableConfig, MetastableDetector, MetastableSignal,
-    Next, ServiceCore, Tick,
+    Admitted, AimdAdmission, AimdConfig, DeadlineQueue, MetastableConfig, MetastableDetector,
+    MetastableSignal, Next, ServiceCore, Tick,
 };
 pub use supervisor::{
     peek_journal, run_supervised, CampaignOptions, CampaignReport, CampaignUnit, UnitKind,

@@ -23,10 +23,10 @@
 //! Two service configurations of that core are simulated:
 //!
 //! * **hardened** — AIMD adaptive admission with the unmeetable-deadline
-//!   estimate, the brownout ladder, and the metastable detector + shed
-//!   pulse: the post-hardening stack.
-//! * **baseline** — all three overload options off, so queue-full is the
-//!   only refusal: the pre-hardening stack (`--no-adaptive-admission`).
+//!   test, and the metastable detector + shed pulse: the post-hardening
+//!   stack.
+//! * **baseline** — both overload options off, so queue-full is the only
+//!   refusal: the pre-hardening stack (`--no-adaptive-admission`).
 //!   Every attempt's deadline is its arrival plus one fixed budget, so
 //!   the EDF queue serves it in FIFO order.
 //!
@@ -40,10 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::journal::Json;
-use crate::overload::{
-    Admitted, AimdConfig, BrownoutConfig, BrownoutLevel, MetastableConfig, MetastableSignal,
-    ServiceCore,
-};
+use crate::overload::{Admitted, AimdConfig, MetastableConfig, MetastableSignal, ServiceCore};
 use crate::report;
 use crate::serve::{FailReason, MetricsSnapshot, Outcome, ServeConfig, ShedReason};
 
@@ -180,7 +177,7 @@ pub struct LoadgenConfig {
     pub deadline_us: u64,
     /// Virtual duration of each of the three phases, µs.
     pub phase_us: u64,
-    /// Overload-control window (ladder tick + metastable window), µs.
+    /// Overload-control window (the metastable detector's), µs.
     pub window_us: u64,
     /// Every Nth request carries the streaming-profiler sampling cost.
     pub sample_period: u64,
@@ -189,9 +186,6 @@ pub struct LoadgenConfig {
     pub adaptive_admission: bool,
     /// Client populations.
     pub client: ClientConfig,
-    /// Pin the brownout ladder at a level (property tests); `None` lets
-    /// the ladder run.
-    pub force_brownout: Option<BrownoutLevel>,
 }
 
 impl Default for LoadgenConfig {
@@ -209,7 +203,6 @@ impl Default for LoadgenConfig {
             sample_period: 16,
             adaptive_admission: true,
             client: ClientConfig::default(),
-            force_brownout: None,
         }
     }
 }
@@ -336,17 +329,9 @@ pub struct LoadgenRun {
     pub mode: String,
     /// Per-phase stats, in time order.
     pub phases: Vec<PhaseStats>,
-    /// Virtual-time overload events (brownout transitions, metastable
-    /// fire/recover, pulse end), `(t_us, description)`.
+    /// Virtual-time overload events (metastable fire/recover, pulse end),
+    /// `(t_us, description)`.
     pub timeline: Vec<(u64, String)>,
-    /// Brownout ladder movement over the whole run.
-    pub brownout_descents: u64,
-    /// Ladder ascents (recoveries).
-    pub brownout_ascents: u64,
-    /// Deepest level reached.
-    pub brownout_max_level: u8,
-    /// Governor re-rank ticks skipped because the ladder shed re-ranking.
-    pub rerank_skipped: u64,
     /// Metastable detector firings.
     pub metastable_fired: u64,
     /// Metastable recoveries.
@@ -374,15 +359,6 @@ impl LoadgenRun {
                 Json::Arr(self.phases.iter().map(|p| p.to_json(phase_s)).collect()),
             ),
             ("goodput_ratio".into(), Json::Float(self.goodput_ratio())),
-            (
-                "brownout".into(),
-                Json::Obj(vec![
-                    ("descents".into(), Json::Int(self.brownout_descents as i64)),
-                    ("ascents".into(), Json::Int(self.brownout_ascents as i64)),
-                    ("max_level".into(), Json::Int(self.brownout_max_level as i64)),
-                    ("rerank_skipped".into(), Json::Int(self.rerank_skipped as i64)),
-                ]),
-            ),
             (
                 "metastable".into(),
                 Json::Obj(vec![
@@ -501,12 +477,9 @@ impl std::fmt::Display for LoadgenReport {
             }
             writeln!(
                 f,
-                "    goodput ratio (disturbed/pre): {:.3}; brownout {} down / {} up (max level {}); \
-                 metastable {} fired / {} recovered; aimd rate {:.2}",
+                "    goodput ratio (disturbed/pre): {:.3}; metastable {} fired / {} recovered; \
+                 aimd rate {:.2}",
                 run.goodput_ratio(),
-                run.brownout_descents,
-                run.brownout_ascents,
-                run.brownout_max_level,
                 run.metastable_fired,
                 run.metastable_recovered,
                 run.aimd_final_rate
@@ -689,17 +662,16 @@ struct PhaseAcc {
 /// The service configuration one shard's core runs. Hardened: AIMD with a
 /// tight latency target and slow additive recovery (sustained overload
 /// winds admission down hard, and the wind-down itself is the metastable
-/// state the detector and pulse must break), the brownout ladder, and a
-/// detector whose "normal load" band leaves headroom for post-storm
-/// retries. Baseline: the same core with all three options off — a
-/// bounded queue whose only refusal is queue-full.
+/// state the detector and pulse must break), and a detector whose "normal
+/// load" band leaves headroom for post-storm retries. Baseline: the same
+/// core with both options off — a bounded queue whose only refusal is
+/// queue-full.
 fn shard_serve_config(cfg: &LoadgenConfig, hardened: bool) -> ServeConfig {
     let baseline = ServeConfig {
         workers: cfg.workers_per_shard.max(1),
         queue_depth: cfg.queue_depth.max(1),
         default_deadline_ms: (cfg.deadline_us / 1_000).max(1),
         adaptive_admission: None,
-        brownout: None,
         metastable: None,
         ..ServeConfig::default()
     };
@@ -712,7 +684,6 @@ fn shard_serve_config(cfg: &LoadgenConfig, hardened: bool) -> ServeConfig {
             increase: 0.000_1,
             ..AimdConfig::default()
         }),
-        brownout: Some(BrownoutConfig::default()),
         metastable: Some(MetastableConfig {
             normal_load_fraction: 3.0,
             recover_fraction: 0.6,
@@ -733,8 +704,6 @@ struct Sim<'a> {
     shards: Vec<SimShard>,
     phases: [PhaseAcc; 3],
     timeline: Vec<(u64, String)>,
-    rerank_skipped: u64,
-    brownout_max_level: u8,
     next_req: u64,
 }
 
@@ -743,16 +712,10 @@ impl<'a> Sim<'a> {
         let seed = cfg.seed ^ if hardened { 0 } else { 0x9E37_79B9_7F4A_7C15 };
         let serve = shard_serve_config(cfg, hardened);
         let shards: Vec<SimShard> = (0..cfg.shards.max(1))
-            .map(|_| {
-                let mut core = ServiceCore::new(&serve);
-                if let Some(level) = cfg.force_brownout {
-                    core.force_level(level);
-                }
-                SimShard {
-                    core,
-                    free_workers: cfg.workers_per_shard.max(1),
-                    window_fresh: 0,
-                }
+            .map(|_| SimShard {
+                core: ServiceCore::new(&serve),
+                free_workers: cfg.workers_per_shard.max(1),
+                window_fresh: 0,
             })
             .collect();
         let names = cfg.scenario.phase_names();
@@ -768,11 +731,9 @@ impl<'a> Sim<'a> {
             seq: 0,
             now: 0,
             end: cfg.phase_us * 3,
-            brownout_max_level: shards[0].core.level().as_u8(),
             shards,
             phases,
             timeline: Vec::new(),
-            rerank_skipped: 0,
             next_req: 0,
         }
     }
@@ -855,14 +816,14 @@ impl<'a> Sim<'a> {
     }
 
     /// Draw this attempt's service time, applying the cost model of the
-    /// optional work the shard's brownout `level` still runs.
-    fn draw_service(&mut self, req: u64, level: BrownoutLevel) -> u64 {
+    /// profiler sampling and frame offload the request carries.
+    fn draw_service(&mut self, req: u64) -> u64 {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let mut s = self.cfg.service_us as f64 * (0.5 + u);
-        if req.is_multiple_of(self.cfg.sample_period.max(1)) && !level.sheds_sampling() {
+        if req.is_multiple_of(self.cfg.sample_period.max(1)) {
             s *= SAMPLE_FACTOR;
         }
-        if req.is_multiple_of(2) && !level.sheds_offload() {
+        if req.is_multiple_of(2) {
             let a: f64 = self.rng.gen_range(0.0..1.0);
             if a < self.abort_rate(self.now) {
                 s *= ABORT_PENALTY;
@@ -902,8 +863,7 @@ impl<'a> Sim<'a> {
                 self.client_retry(a.job, now);
             }
             let Some(attempt) = next.job else { return };
-            let level = self.shards[si].core.level();
-            let s = self.draw_service(attempt.job.req, level);
+            let s = self.draw_service(attempt.job.req);
             self.shards[si].free_workers -= 1;
             let (finish, completed) = if now + s <= attempt.deadline_us {
                 (now + s, true)
@@ -983,11 +943,6 @@ impl<'a> Sim<'a> {
                 self.timeline
                     .push((now, format!("shard {si}: pulse ended; admission reopened")));
             }
-            if let Some((t, pressure)) = tick.brownout {
-                self.brownout_max_level = self.brownout_max_level.max(t.to.as_u8());
-                let detail = format!("{} -> {} (pressure {pressure:.2})", t.from, t.to);
-                self.timeline.push((now, format!("shard {si}: brownout: {detail}")));
-            }
             let flushed = tick.flushed.len() as u64;
             let pi = self.phase_idx(now);
             self.phases[pi].stats.pulse_flushed += flushed;
@@ -1017,9 +972,7 @@ impl<'a> Sim<'a> {
     fn on_rerank(&mut self) {
         let now = self.now;
         for si in 0..self.shards.len() {
-            if self.shards[si].core.level().sheds_rerank() {
-                self.rerank_skipped += 1;
-            } else if self.shards[si].free_workers > 0 {
+            if self.shards[si].free_workers > 0 {
                 self.shards[si].free_workers -= 1;
                 self.schedule(now + RERANK_COST_US, EvKind::RerankDone { shard: si });
             }
@@ -1141,10 +1094,6 @@ impl<'a> Sim<'a> {
             mode: if self.hardened { "hardened" } else { "baseline" }.to_string(),
             phases: self.phases.into_iter().map(|a| a.stats).collect(),
             timeline: self.timeline,
-            brownout_descents: cores.brownout_descents,
-            brownout_ascents: cores.brownout_ascents,
-            brownout_max_level: self.brownout_max_level,
-            rerank_skipped: self.rerank_skipped,
             metastable_fired: cores.metastable_fired,
             metastable_recovered: cores.metastable_recovered,
             aimd_final_rate: rate_sum / self.shards.len() as f64,
@@ -1238,27 +1187,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn forced_brownout_levels_keep_the_ledger_closed() {
-        for level in [
-            BrownoutLevel::Full,
-            BrownoutLevel::NoRerank,
-            BrownoutLevel::NoSampling,
-            BrownoutLevel::NoOffload,
-        ] {
-            let cfg = LoadgenConfig {
-                force_brownout: Some(level),
-                ..LoadgenConfig::quick(13, Scenario::Burst)
-            };
-            let report = run_loadgen(&cfg);
-            assert!(
-                report.runs[0].violations.is_empty(),
-                "level {level}: {:?}",
-                report.runs[0].violations
-            );
         }
     }
 

@@ -19,11 +19,9 @@
 //! * [`AimdAdmission`] — additive-increase / multiplicative-decrease
 //!   admission control driven by measured completion latency relative to
 //!   the request deadline;
-//! * the unmeetable-deadline estimate — an EWMA of accept-to-completion
-//!   latency of completed requests;
-//! * [`BrownoutLadder`] — the degradation ladder that sheds optional work
-//!   (re-ranking → profiler sampling → frame offload) under sustained
-//!   pressure and climbs back with hysteresis;
+//! * the unmeetable-deadline test — an EWMA of per-job service time,
+//!   derived from each completion's latency by Little's law, projects when
+//!   a new job would finish and refuses it past AIMD's own latency target;
 //! * [`MetastableDetector`] — detects the classic retry-storm failure mode
 //!   where offered load has returned to normal but goodput stays collapsed,
 //!   and triggers a forced load-shed pulse to break the feedback loop.
@@ -238,159 +236,6 @@ impl AimdAdmission {
 }
 
 // ---------------------------------------------------------------------------
-// Brownout degradation ladder
-// ---------------------------------------------------------------------------
-
-/// Degradation levels, in shedding order. Each level sheds everything the
-/// previous ones shed plus one more class of optional work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum BrownoutLevel {
-    /// All optional work enabled.
-    Full = 0,
-    /// Adaptive re-ranking (governor epochs) off.
-    NoRerank = 1,
-    /// Streaming profiler sampling off as well.
-    NoSampling = 2,
-    /// Frame offload off as well — walker/flat execution only.
-    NoOffload = 3,
-}
-
-impl BrownoutLevel {
-    pub fn from_u8(v: u8) -> BrownoutLevel {
-        match v {
-            0 => BrownoutLevel::Full,
-            1 => BrownoutLevel::NoRerank,
-            2 => BrownoutLevel::NoSampling,
-            _ => BrownoutLevel::NoOffload,
-        }
-    }
-
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    /// Governor epoch re-ranking is shed at this level.
-    pub fn sheds_rerank(self) -> bool {
-        self >= BrownoutLevel::NoRerank
-    }
-
-    /// Streaming-profiler sampling is shed at this level.
-    pub fn sheds_sampling(self) -> bool {
-        self >= BrownoutLevel::NoSampling
-    }
-
-    /// Frame offload is shed at this level (host execution only).
-    pub fn sheds_offload(self) -> bool {
-        self >= BrownoutLevel::NoOffload
-    }
-}
-
-impl std::fmt::Display for BrownoutLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BrownoutLevel::Full => write!(f, "full"),
-            BrownoutLevel::NoRerank => write!(f, "no-rerank"),
-            BrownoutLevel::NoSampling => write!(f, "no-sampling"),
-            BrownoutLevel::NoOffload => write!(f, "no-offload"),
-        }
-    }
-}
-
-/// Tuning for [`BrownoutLadder`].
-#[derive(Clone, Copy, Debug)]
-pub struct BrownoutConfig {
-    /// Pressure above which the ladder descends one level (after dwell).
-    pub enter_pressure: f64,
-    /// Pressure below which it ascends one level (after dwell). Must be
-    /// well under `enter_pressure` for hysteresis.
-    pub exit_pressure: f64,
-    /// Consecutive ticks the pressure must hold beyond a threshold before
-    /// the ladder moves — debounces transient spikes.
-    pub dwell_ticks: u32,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig { enter_pressure: 0.75, exit_pressure: 0.35, dwell_ticks: 3 }
-    }
-}
-
-/// A level transition the caller should log to the timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BrownoutTransition {
-    pub from: BrownoutLevel,
-    pub to: BrownoutLevel,
-}
-
-/// The degradation ladder. Feed it one pressure sample per tick; it moves
-/// at most one level per dwell window, in either direction, with hysteresis
-/// between the enter and exit thresholds.
-///
-/// Pressure is a dimensionless "how close to missing deadlines are we"
-/// signal — [`ServiceCore`] uses its accept-to-completion latency EWMA over
-/// a latency target, so a full-but-fast queue is not pressure while a
-/// short-but-slow one is.
-#[derive(Clone, Debug)]
-pub struct BrownoutLadder {
-    cfg: BrownoutConfig,
-    level: BrownoutLevel,
-    above: u32,
-    below: u32,
-    /// Total descents (level got worse).
-    pub descents: u64,
-    /// Total ascents (level recovered).
-    pub ascents: u64,
-}
-
-impl BrownoutLadder {
-    pub fn new(cfg: BrownoutConfig) -> Self {
-        BrownoutLadder { cfg, level: BrownoutLevel::Full, above: 0, below: 0, descents: 0, ascents: 0 }
-    }
-
-    pub fn level(&self) -> BrownoutLevel {
-        self.level
-    }
-
-    /// For tests: pin the ladder at a level.
-    pub fn force_level(&mut self, level: BrownoutLevel) {
-        self.level = level;
-        self.above = 0;
-        self.below = 0;
-    }
-
-    /// Feed one pressure sample. Returns a transition when the level moved.
-    pub fn on_pressure(&mut self, pressure: f64) -> Option<BrownoutTransition> {
-        if pressure >= self.cfg.enter_pressure {
-            self.above += 1;
-            self.below = 0;
-        } else if pressure <= self.cfg.exit_pressure {
-            self.below += 1;
-            self.above = 0;
-        } else {
-            // Hysteresis band: hold position.
-            self.above = 0;
-            self.below = 0;
-        }
-        if self.above >= self.cfg.dwell_ticks && self.level < BrownoutLevel::NoOffload {
-            let from = self.level;
-            self.level = BrownoutLevel::from_u8(self.level.as_u8() + 1);
-            self.above = 0;
-            self.descents += 1;
-            return Some(BrownoutTransition { from, to: self.level });
-        }
-        if self.below >= self.cfg.dwell_ticks && self.level > BrownoutLevel::Full {
-            let from = self.level;
-            self.level = BrownoutLevel::from_u8(self.level.as_u8() - 1);
-            self.below = 0;
-            self.ascents += 1;
-            return Some(BrownoutTransition { from, to: self.level });
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Metastable-failure detector
 // ---------------------------------------------------------------------------
 
@@ -537,10 +382,6 @@ impl MetastableDetector {
 /// How long a metastable shed pulse refuses every offer, µs.
 const PULSE_US: u64 = 200_000;
 
-/// The brownout pressure target: pressure reads 1.0 when the latency EWMA
-/// reaches this fraction of the default deadline budget.
-const PRESSURE_TARGET_FRACTION: f64 = 0.75;
-
 /// A job the core accepted, with the admission facts it needs back when
 /// the job completes.
 #[derive(Debug)]
@@ -551,6 +392,9 @@ pub struct Admitted<J> {
     pub accepted_us: u64,
     /// Its absolute deadline, µs.
     pub deadline_us: u64,
+    /// Jobs queued ahead of it at accept: its latency covers their
+    /// service as well as its own.
+    ahead: usize,
 }
 
 /// What one [`ServiceCore::next`] call hands the caller.
@@ -569,8 +413,6 @@ pub struct Next<J> {
 pub struct Tick<J> {
     /// A shed pulse ran out at this tick; admission reopened at full rate.
     pub pulse_ended: bool,
-    /// The brownout ladder moved, and the pressure sample that moved it.
-    pub brownout: Option<(BrownoutTransition, f64)>,
     /// The metastable detector fired or recovered.
     pub metastable: Option<MetastableSignal>,
     /// Entries flushed by the shed pulse that fired at this tick. The core
@@ -580,9 +422,9 @@ pub struct Tick<J> {
 }
 
 /// The single-threaded admission and overload-control core of one
-/// service: the EDF queue, the AIMD gate, the unmeetable-deadline EWMA,
-/// the brownout ladder, the metastable detector with its shed pulse, and
-/// the accept/shed/outcome counters and latency histogram of
+/// service: the EDF queue, the AIMD gate, the service-time EWMA behind the
+/// unmeetable test, the metastable detector with its shed pulse, and the
+/// accept/shed/outcome counters and latency histogram of
 /// [`MetricsSnapshot`]. Time is an argument (`now_us`); the core never
 /// reads a clock.
 ///
@@ -597,20 +439,17 @@ pub struct Tick<J> {
 /// caller completes what it popped, `accepted == completed + failed +
 /// shed_after_accept`.
 ///
-/// Setting [`ServeConfig::adaptive_admission`], [`ServeConfig::brownout`]
-/// and [`ServeConfig::metastable`] to `None` leaves a plain bounded queue:
-/// the only refusals are queue-full and draining. `None` for admission also
+/// Setting [`ServeConfig::adaptive_admission`] and
+/// [`ServeConfig::metastable`] to `None` leaves a plain bounded queue: the
+/// only refusals are queue-full and draining. `None` for admission also
 /// drops the unmeetable test.
 pub struct ServiceCore<J> {
     workers: f64,
-    pressure_target_us: f64,
     queue: DeadlineQueue<Admitted<J>>,
     admission: Option<AimdAdmission>,
-    /// EWMA of accept-to-completion latency of completed jobs, µs (0 until
-    /// the first completion).
-    ewma_us: f64,
-    ladder: Option<BrownoutLadder>,
-    level: BrownoutLevel,
+    /// EWMA of the per-job service time of completed jobs, µs (0 until the
+    /// first completion): each latency over `1 + ahead / workers`.
+    service_us: f64,
     detector: Option<MetastableDetector>,
     /// While `now_us < pulse_until_us` every offer is shed (0 = no pulse).
     pulse_until_us: u64,
@@ -621,38 +460,20 @@ pub struct ServiceCore<J> {
 }
 
 impl<J> ServiceCore<J> {
-    /// A core sized and tuned by `cfg`: `workers`, `queue_depth`,
-    /// `default_deadline_ms` (the brownout pressure target) and the three
-    /// overload options.
+    /// A core sized and tuned by `cfg`: `workers`, `queue_depth` and the
+    /// two overload options.
     pub fn new(cfg: &ServeConfig) -> ServiceCore<J> {
         ServiceCore {
             workers: cfg.workers.max(1) as f64,
-            pressure_target_us: cfg.default_deadline_ms.max(1) as f64
-                * 1_000.0
-                * PRESSURE_TARGET_FRACTION,
             queue: DeadlineQueue::new(cfg.queue_depth.max(1)),
             admission: cfg.adaptive_admission.map(AimdAdmission::new),
-            ewma_us: 0.0,
-            ladder: cfg.brownout.map(BrownoutLadder::new),
-            level: BrownoutLevel::Full,
+            service_us: 0.0,
             detector: cfg.metastable.map(MetastableDetector::new),
             pulse_until_us: 0,
             window_goodput: 0,
             draining: false,
             metrics: MetricsSnapshot::default(),
         }
-    }
-
-    /// Pin the brownout level for the core's lifetime: the ladder stops
-    /// moving (tests and forced-level load runs).
-    pub fn force_level(&mut self, level: BrownoutLevel) {
-        self.ladder = None;
-        self.level = level;
-    }
-
-    /// Current brownout level.
-    pub fn level(&self) -> BrownoutLevel {
-        self.level
     }
 
     /// Whether [`drain`](Self::drain) has run.
@@ -674,11 +495,6 @@ impl<J> ServiceCore<J> {
     /// fields are the driver's to fill.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.metrics.clone();
-        m.brownout_level = self.level.as_u8();
-        if let Some(l) = &self.ladder {
-            m.brownout_descents = l.descents;
-            m.brownout_ascents = l.ascents;
-        }
         if let Some(d) = &self.detector {
             m.metastable_fired = d.fired;
             m.metastable_recovered = d.recovered;
@@ -688,9 +504,11 @@ impl<J> ServiceCore<J> {
 
     /// Admit `job` with its absolute deadline, or shed it. Checks run in
     /// order: draining, shed pulse, AIMD gate, queue capacity, and the
-    /// unmeetable test — with `ahead` jobs queued, a job whose estimated
-    /// start `ahead / workers × EWMA` is past its budget is dead on
-    /// arrival. On a shed the job comes back with the reason.
+    /// unmeetable test — with `queued` jobs ahead, a job whose projected
+    /// completion `(queued / workers + 1) × service` is past AIMD's
+    /// `target_fraction` of its remaining budget would complete as a
+    /// breach, so it is refused now. On a shed the job comes back with
+    /// the reason.
     ///
     /// # Errors
     /// The typed [`ShedReason`] and the refused job.
@@ -703,15 +521,16 @@ impl<J> ServiceCore<J> {
             Some(ShedReason::Throttled)
         } else if self.queue.is_full() {
             Some(ShedReason::QueueFull)
-        } else if self.admission.is_some() && self.unmeetable(now_us, deadline_us) {
+        } else if self.unmeetable(now_us, deadline_us) {
             Some(ShedReason::Unmeetable)
         } else {
             None
         };
+        let ahead = self.queue.len();
         let pushed = match shed {
             None => self
                 .queue
-                .push(deadline_us, Admitted { job, accepted_us: now_us, deadline_us })
+                .push(deadline_us, Admitted { job, accepted_us: now_us, deadline_us, ahead })
                 .map_err(|a| (ShedReason::QueueFull, a.job)),
             Some(reason) => Err((reason, job)),
         };
@@ -727,8 +546,9 @@ impl<J> ServiceCore<J> {
     }
 
     fn unmeetable(&self, now_us: u64, deadline_us: u64) -> bool {
-        let est_start_us = self.queue.len() as f64 / self.workers * self.ewma_us;
-        est_start_us > deadline_us.saturating_sub(now_us) as f64
+        let Some(a) = &self.admission else { return false };
+        let projected_us = (self.queue.len() as f64 / self.workers + 1.0) * self.service_us;
+        projected_us > a.cfg.target_fraction * deadline_us.saturating_sub(now_us) as f64
     }
 
     /// Sweep every entry whose deadline is `<= now_us` (each an expiry:
@@ -747,8 +567,10 @@ impl<J> ServiceCore<J> {
 
     /// Record the outcome of a job [`next`](Self::next) returned and the
     /// caller executed; returns its accept-to-completion latency. Executed
-    /// outcomes feed the AIMD gate; completions also feed the EWMA and the
-    /// detector's goodput.
+    /// outcomes feed the AIMD gate; completions also feed the service-time
+    /// EWMA and the detector's goodput. By Little's law a job that waited
+    /// behind `ahead` others took `1 + ahead / workers` service times, so
+    /// its sample is the latency over that.
     pub fn complete(&mut self, now_us: u64, done: &Admitted<J>, outcome: &Outcome) -> u64 {
         let latency_us = now_us.saturating_sub(done.accepted_us);
         let m = &mut self.metrics;
@@ -758,11 +580,11 @@ impl<J> ServiceCore<J> {
                 m.fallbacks += u64::from(*fallback);
                 m.frame_aborts += u64::from(*frame_abort);
                 self.window_goodput += 1;
-                let sample = latency_us as f64;
-                self.ewma_us = if self.ewma_us == 0.0 {
+                let sample = latency_us as f64 / (1.0 + done.ahead as f64 / self.workers);
+                self.service_us = if self.service_us == 0.0 {
                     sample
                 } else {
-                    0.8 * self.ewma_us + 0.2 * sample
+                    0.8 * self.service_us + 0.2 * sample
                 };
             }
             Outcome::Failed(reason) => {
@@ -794,16 +616,12 @@ impl<J> ServiceCore<J> {
     /// service passes every submission, the load generator passes fresh
     /// arrivals only (a service cannot tell a retry from a fresh request,
     /// the simulator can). In order: a shed pulse that ran out reopens
-    /// admission; the ladder takes a pressure sample, the latency EWMA
-    /// over the pressure target (the EWMA already includes queue wait, so
-    /// it is not scaled by queue depth again); the detector judges `offered`
-    /// against the completions since the last tick, and on a fire the
-    /// core clamps admission, refuses every offer for the pulse, and
-    /// flushes the queue.
+    /// admission; the detector judges `offered` against the completions
+    /// since the last tick, and on a fire the core clamps admission,
+    /// refuses every offer for the pulse, and flushes the queue.
     pub fn tick(&mut self, now_us: u64, offered: u64) -> Tick<J> {
         let mut tick = Tick {
             pulse_ended: false,
-            brownout: None,
             metastable: None,
             flushed: Vec::new(),
         };
@@ -813,13 +631,6 @@ impl<J> ServiceCore<J> {
                 a.reopen();
             }
             tick.pulse_ended = true;
-        }
-        if let Some(ladder) = self.ladder.as_mut() {
-            let pressure = self.ewma_us / self.pressure_target_us;
-            if let Some(t) = ladder.on_pressure(pressure) {
-                self.level = t.to;
-                tick.brownout = Some((t, pressure));
-            }
         }
         let goodput = std::mem::take(&mut self.window_goodput);
         tick.metastable =
@@ -960,57 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_descends_and_recovers_with_hysteresis() {
-        let cfg = BrownoutConfig { enter_pressure: 0.8, exit_pressure: 0.3, dwell_ticks: 2 };
-        let mut l = BrownoutLadder::new(cfg);
-        assert_eq!(l.level(), BrownoutLevel::Full);
-        // One spike is debounced.
-        assert!(l.on_pressure(0.9).is_none());
-        assert!(l.on_pressure(0.1).is_none());
-        assert_eq!(l.level(), BrownoutLevel::Full);
-        // Sustained pressure descends one level per dwell.
-        assert!(l.on_pressure(0.9).is_none());
-        let t = l.on_pressure(0.9).unwrap();
-        assert_eq!((t.from, t.to), (BrownoutLevel::Full, BrownoutLevel::NoRerank));
-        l.on_pressure(0.95);
-        let t = l.on_pressure(0.95).unwrap();
-        assert_eq!(t.to, BrownoutLevel::NoSampling);
-        l.on_pressure(1.5);
-        let t = l.on_pressure(1.5).unwrap();
-        assert_eq!(t.to, BrownoutLevel::NoOffload);
-        // Saturates at the bottom.
-        assert!(l.on_pressure(1.5).is_none());
-        assert!(l.on_pressure(1.5).is_none());
-        assert_eq!(l.level(), BrownoutLevel::NoOffload);
-        // Mid-band pressure holds position (hysteresis).
-        for _ in 0..10 {
-            assert!(l.on_pressure(0.5).is_none());
-        }
-        assert_eq!(l.level(), BrownoutLevel::NoOffload);
-        // Calm pressure climbs back one level per dwell.
-        l.on_pressure(0.1);
-        let t = l.on_pressure(0.1).unwrap();
-        assert_eq!((t.from, t.to), (BrownoutLevel::NoOffload, BrownoutLevel::NoSampling));
-        l.on_pressure(0.1);
-        assert_eq!(l.on_pressure(0.1).unwrap().to, BrownoutLevel::NoRerank);
-        l.on_pressure(0.1);
-        assert_eq!(l.on_pressure(0.1).unwrap().to, BrownoutLevel::Full);
-        assert_eq!(l.descents, 3);
-        assert_eq!(l.ascents, 3);
-    }
-
-    #[test]
-    fn level_shed_classes_are_cumulative() {
-        assert!(!BrownoutLevel::Full.sheds_rerank());
-        assert!(BrownoutLevel::NoRerank.sheds_rerank());
-        assert!(!BrownoutLevel::NoRerank.sheds_sampling());
-        assert!(BrownoutLevel::NoSampling.sheds_rerank());
-        assert!(BrownoutLevel::NoSampling.sheds_sampling());
-        assert!(!BrownoutLevel::NoSampling.sheds_offload());
-        assert!(BrownoutLevel::NoOffload.sheds_offload());
-    }
-
-    #[test]
     fn metastable_fires_on_collapse_at_normal_load_and_recovers() {
         let cfg = MetastableConfig {
             confirm_windows: 2,
@@ -1077,7 +837,6 @@ mod tests {
             workers: 1,
             queue_depth: 8,
             adaptive_admission: aimd.then(AimdConfig::default),
-            brownout: None,
             metastable,
             ..ServeConfig::default()
         })
@@ -1092,16 +851,26 @@ mod tests {
     }
 
     #[test]
-    fn core_sheds_what_the_latency_ewma_says_cannot_start_in_time() {
+    fn core_sheds_what_would_finish_past_the_aimd_target() {
         let mut core = quiet_core(true, None);
-        run_one(&mut core, 0, 500);
-        // One worker, 500 µs per job, a 1 000 µs budget: with `ahead`
-        // queued the start estimate is 500 × ahead.
-        for ahead in 0..3 {
-            assert_eq!(core.queue_len(), ahead);
-            assert!(core.offer(500, 1_500, 1).is_ok(), "{ahead} ahead fits");
+        let done = Outcome::Completed { fallback: false, frame_abort: false };
+        // Three jobs accepted together on one worker finish at 100, 200
+        // and 300 µs. Each latency over `1 + ahead` is a 100 µs service.
+        for id in 0..3 {
+            core.offer(0, 10_000, id).unwrap();
         }
-        assert!(matches!(core.offer(500, 1_500, 1), Err((ShedReason::Unmeetable, 1))));
+        for t in [100, 200, 300] {
+            let job = core.next(t - 100).job.expect("queued");
+            core.complete(t, &job, &done);
+        }
+        // A 480 µs budget at target fraction 0.75 allows 360 µs: with
+        // `queued` ahead a job finishes at `(queued + 1) × 100`, so three
+        // fit and the fourth is refused.
+        for queued in 0..3 {
+            assert_eq!(core.queue_len(), queued);
+            assert!(core.offer(300, 780, 1).is_ok(), "{queued} queued fits");
+        }
+        assert!(matches!(core.offer(300, 780, 1), Err((ShedReason::Unmeetable, 1))));
         // Without adaptive admission the test is off.
         let mut plain = quiet_core(false, None);
         run_one(&mut plain, 0, 500);
@@ -1109,6 +878,29 @@ mod tests {
             assert!(plain.offer(500, 1_500, 1).is_ok());
         }
         assert!(matches!(plain.offer(500, 1_500, 1), Err((ShedReason::QueueFull, 1))));
+    }
+
+    #[test]
+    fn core_admits_a_closed_loop_through_a_stall() {
+        // One worker, 32 requests outstanding, each answered in 3 µs and
+        // offered again at once with a 1 s budget. Once, the process
+        // stalls for 40 ms: the 32 jobs in flight then all report 40 ms
+        // of latency, though the service time has not changed.
+        let mut core: ServiceCore<u64> =
+            ServiceCore::new(&ServeConfig { workers: 1, ..ServeConfig::default() });
+        let done = Outcome::Completed { fallback: false, frame_abort: false };
+        let mut now = 0;
+        for id in 0..32 {
+            core.offer(now, now + 1_000_000, id).unwrap();
+        }
+        for id in 32..2_000 {
+            let job = core.next(now).job.expect("32 outstanding");
+            now += if id == 1_000 { 40_000 } else { 3 };
+            core.complete(now, &job, &done);
+            let offered = core.offer(now, now + 1_000_000, id);
+            assert!(offered.is_ok(), "offer {id} at {now} µs refused: {:?}", offered.err());
+        }
+        assert_eq!(core.metrics().shed_unmeetable, 0);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   one [`ServiceCore`] held with the breaker table under a single state
 //!   lock and driven by wall-clock microseconds; the load generator runs
 //!   the same core in virtual time. When the queue is full, the service
-//!   is draining or throttled, or the deadline is already unmeetable
-//!   given the observed latency, the request is shed *at submission* with
-//!   a typed [`ShedReason`] instead of being queued to die.
+//!   is draining or throttled, or at the observed service time the
+//!   request would finish past AIMD's latency target, it is shed *at
+//!   submission* with a typed [`ShedReason`] instead of being queued to
+//!   die.
 //! * **Exactly-once** — an accepted request receives exactly one terminal
 //!   [`Response`]: completed, failed, or shed-after-accept. Never zero
 //!   (lost), never two (duplicated). Structurally, every accepted job
@@ -82,10 +83,7 @@ use crate::governor::{
     GovernorStats, PathCandidate, WorkloadObservation,
 };
 use crate::journal::Json;
-use crate::overload::{
-    Admitted, AimdConfig, BrownoutConfig, BrownoutLevel, MetastableConfig, MetastableSignal,
-    ServiceCore,
-};
+use crate::overload::{Admitted, AimdConfig, MetastableConfig, MetastableSignal, ServiceCore};
 use crate::report;
 use crate::supervisor::silence_supervised_panics;
 use crate::sync::{plock, pwait_timeout};
@@ -131,10 +129,6 @@ pub struct ServeConfig {
     /// additively on healthy completions. `None` also drops the
     /// unmeetable-deadline test, leaving only the queue-depth gate.
     pub adaptive_admission: Option<AimdConfig>,
-    /// Brownout degradation ladder: under sustained deadline pressure the
-    /// service sheds optional work level by level (re-ranking → profiler
-    /// sampling → frame offload) and climbs back with hysteresis.
-    pub brownout: Option<BrownoutConfig>,
     /// Metastable-failure detector: goodput collapsed while offered load
     /// is back to normal triggers a forced load-shed pulse.
     pub metastable: Option<MetastableConfig>,
@@ -162,7 +156,6 @@ impl Default for ServeConfig {
             frame_workload: Some("svc.sum".into()),
             adaptive: None,
             adaptive_admission: Some(AimdConfig::default()),
-            brownout: Some(BrownoutConfig::default()),
             metastable: Some(MetastableConfig::default()),
         }
     }
@@ -456,12 +449,9 @@ pub struct MetricsSnapshot {
     pub active_regions: Vec<(String, u64)>,
     /// Cumulative per-function counters that survive worker recycles.
     pub funcs: Vec<FuncStatRow>,
-    /// Brownout ladder level at snapshot time (0 = full service).
-    pub brownout_level: u8,
-    /// Ladder descents (a level of optional work was shed).
+    /// Always 0: the degradation ladder that counted its descents here is
+    /// gone, and the benchmark's serving probe still reads the field.
     pub brownout_descents: u64,
-    /// Ladder ascents (a level was restored).
-    pub brownout_ascents: u64,
     /// Metastable-failure detector firings (forced shed pulses).
     pub metastable_fired: u64,
     /// Metastable episodes that recovered.
@@ -514,9 +504,6 @@ impl MetricsSnapshot {
         self.shed_unmeetable += other.shed_unmeetable;
         self.shed_pre_draining += other.shed_pre_draining;
         self.shed_throttled += other.shed_throttled;
-        self.brownout_level = self.brownout_level.max(other.brownout_level);
-        self.brownout_descents += other.brownout_descents;
-        self.brownout_ascents += other.brownout_ascents;
         self.metastable_fired += other.metastable_fired;
         self.metastable_recovered += other.metastable_recovered;
         self.completed += other.completed;
@@ -589,14 +576,8 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  overload: brownout level {} ({}), {} descents / {} ascents; \
-             metastable {} fired / {} recovered",
-            self.brownout_level,
-            BrownoutLevel::from_u8(self.brownout_level),
-            self.brownout_descents,
-            self.brownout_ascents,
-            self.metastable_fired,
-            self.metastable_recovered
+            "  overload: metastable {} fired / {} recovered",
+            self.metastable_fired, self.metastable_recovered
         )?;
         writeln!(
             f,
@@ -811,8 +792,8 @@ fn beat(inner: &Inner, wi: usize) {
 /// One overload-control tick on the watchdog thread. The detector's
 /// offered load is every submission since the last tick (`seen` carries
 /// the running total); the service cannot tell a retry from a fresh
-/// request. Flushed jobs are answered as throttled, and ladder and
-/// detector moves land on the governor timeline.
+/// request. Flushed jobs are answered as throttled, and detector moves
+/// land on the governor timeline.
 fn overload_tick(inner: &Inner, seen: &mut u64) {
     let (now_us, tick) = {
         let mut st = plock(&inner.state);
@@ -827,37 +808,21 @@ fn overload_tick(inner: &Inner, seen: &mut u64) {
         let latency_us = now_us.saturating_sub(a.accepted_us);
         respond(a.job, Outcome::Shed(ShedReason::Throttled), latency_us);
     }
-    let mut events = Vec::new();
-    if let Some((t, pressure)) = tick.brownout {
-        events.push((
-            EventKind::Brownout,
-            format!("{} -> {} (pressure {pressure:.2})", t.from, t.to),
-        ));
-    }
-    match tick.metastable {
-        Some(MetastableSignal::Fire) => events.push((
-            EventKind::Metastable,
-            format!("goodput collapse at normal load; shed pulse flushed {n} queued"),
-        )),
-        Some(MetastableSignal::Recover) => events.push((
-            EventKind::Metastable,
-            "goodput recovered; metastable episode over".into(),
-        )),
-        None => {}
-    }
-    if events.is_empty() {
-        return;
-    }
+    let detail = match tick.metastable {
+        Some(MetastableSignal::Fire) => {
+            format!("goodput collapse at normal load; shed pulse flushed {n} queued")
+        }
+        Some(MetastableSignal::Recover) => "goodput recovered; metastable episode over".into(),
+        None => return,
+    };
     let mut gs = plock(&inner.governor_stats);
     let epoch = gs.epochs;
-    for (kind, detail) in events {
-        gs.push_event(EpochEvent {
-            epoch,
-            kind,
-            workload: String::new(),
-            detail,
-        });
-    }
+    gs.push_event(EpochEvent {
+        epoch,
+        kind: EventKind::Metastable,
+        workload: String::new(),
+        detail,
+    });
 }
 
 /// A catalog entry resolved into executable form (worker-local; the
@@ -1270,8 +1235,6 @@ struct Popped {
     job: Option<Admitted<Job>>,
     /// The job's breaker verdict (see [`State::gate`]).
     gate: Option<Admission>,
-    /// The brownout level at the pop.
-    level: BrownoutLevel,
 }
 
 /// Pop the next job, blocking on the queue condvar; `None` once the
@@ -1294,7 +1257,6 @@ fn pop(inner: &Inner, wi: usize) -> Option<Popped> {
                 expired: next.expired,
                 job: next.job,
                 gate,
-                level: st.core.level(),
             });
         }
         st.idle_workers += 1;
@@ -1325,10 +1287,6 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         .iter()
         .filter_map(|n| resolve_workload(n))
         .collect();
-    // Satellite fix: these counters used to live in the worker
-    // incarnation and silently reset on every recycle. They now
-    // accumulate in `Inner`, so a snapshot taken after a recycle still
-    // sees every warmup and every truncated post-dominator walk.
     {
         let mut stats = plock(&inner.func_stats);
         for e in &entries {
@@ -1407,12 +1365,10 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         // forced guard failure — rollback, then host re-execution below.
         // The frame comes from the *current* region epoch; the Arc clone
         // pins that epoch for this invocation even if the governor swaps
-        // the table mid-run. Deeper brownout levels shed progressively
-        // more optional work; the level was read at the pop.
-        let level = popped.level;
+        // the table mid-run.
         let mut frame_ran = false;
         let mut frame_abort = false;
-        if task.job.req.fault == Some(InjectedFault::GuardFail) && !level.sheds_offload() {
+        if task.job.req.fault == Some(InjectedFault::GuardFail) {
             let regions = plock(&inner.regions).clone();
             if let Some(frame) = regions.frames.get(&entry.name) {
                 frame_ran = true;
@@ -1424,11 +1380,8 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
         // Ball-Larus trace sink feeding the governor's epoch profile. A
         // fresh profiler per sampled request keeps a cancelled or
         // panicked run from leaking a half-built path into the stream.
-        // Profiling is the first serving-path work the brownout ladder
-        // sheds: correctness never depends on it.
         let adaptive = inner.cfg.adaptive.as_ref();
-        let sampled = !level.sheds_sampling()
-            && adaptive.is_some_and(|g| task.job.req.id % g.sample_period.max(1) == 0);
+        let sampled = adaptive.is_some_and(|g| task.job.req.id % g.sample_period.max(1) == 0);
         let mut profiler =
             sampled.then(|| StreamingProfiler::with_numberings(entry.numberings.clone()));
 
@@ -1825,26 +1778,12 @@ fn governor_main(inner: &Arc<Inner>, stop: &AtomicBool) {
     let mut miscompile_armed = cfg.inject_miscompile_at_epoch.is_some();
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(cfg.tick_ms.max(1)));
-        let (accepted, level) = {
-            let st = plock(&inner.state);
-            (st.core.metrics().accepted, st.core.level())
-        };
+        let accepted = plock(&inner.state).core.metrics().accepted;
         if accepted.saturating_sub(last_accepted) < cfg.epoch_requests.max(1) {
             continue;
         }
         last_accepted = accepted;
         epoch_n += 1;
-
-        // Brownout: re-ranking is the most expensive optional work the
-        // service does, and the first thing the ladder sheds. Skip the
-        // whole epoch pipeline (profiles keep accumulating for when the
-        // ladder climbs back).
-        if level.sheds_rerank() {
-            let mut gs = plock(&inner.governor_stats);
-            gs.epochs = epoch_n;
-            gs.brownout_skipped_epochs += 1;
-            continue;
-        }
 
         let mut drained = std::mem::take(&mut *plock(&inner.profiles));
         let stats = std::mem::take(&mut *plock(&inner.region_stats));
@@ -2341,10 +2280,6 @@ impl SoakReport {
             ("failures_pinned".into(), Json::Int(g.failures as i64)),
             ("malformed_epochs".into(), Json::Int(g.malformed_epochs as i64)),
             ("frame_build_errors".into(), Json::Int(g.frame_build_errors as i64)),
-            (
-                "brownout_skipped_epochs".into(),
-                Json::Int(g.brownout_skipped_epochs as i64),
-            ),
             ("region_epoch".into(), Json::Int(self.metrics.region_epoch as i64)),
             ("active_regions".into(), regions),
             ("timeline".into(), timeline),

@@ -245,57 +245,42 @@ fn breaker_probe_is_exclusive_and_budget_bounded() {
 // Overload-control properties (loadgen + EDF queue)
 // ---------------------------------------------------------------------------
 
-use needle::{run_loadgen, BrownoutLevel, DeadlineQueue, LoadgenConfig, Scenario};
+use needle::{run_loadgen, DeadlineQueue, LoadgenConfig, Scenario};
 
-/// The admission ledger must close under seeded open-loop arrival traces
-/// at every brownout level: every offered attempt is either shed at
-/// admission or accepted, and every accepted attempt resolves to exactly
+/// The admission ledger must close under seeded open-loop arrival traces:
+/// every offered attempt is either shed at admission or accepted, and every accepted attempt resolves to exactly
 /// one outcome (completed, cancelled mid-run, expired in queue, or
 /// flushed by a shed pulse) — `accepted == completed + failed +
 /// shed_after_accept`, recomputed here from the raw phase counters
 /// rather than trusted from the run's own violation check.
 #[test]
-fn prop_loadgen_admission_invariant_across_brownout_levels() {
-    let levels = [
-        None,
-        Some(BrownoutLevel::Full),
-        Some(BrownoutLevel::NoRerank),
-        Some(BrownoutLevel::NoSampling),
-        Some(BrownoutLevel::NoOffload),
-    ];
+fn prop_loadgen_admission_ledger_closes() {
     for seed in [1u64, 7, 42, 0xDEAD] {
         for scenario in [Scenario::Steady, Scenario::Burst, Scenario::RetryStorm] {
-            for level in levels {
-                let cfg = LoadgenConfig {
-                    force_brownout: level,
-                    ..LoadgenConfig::quick(seed, scenario)
-                };
-                let report = run_loadgen(&cfg);
-                for run in &report.runs {
-                    assert!(
-                        run.violations.is_empty(),
-                        "seed {seed} {scenario} level {level:?} [{}]: {:?}",
-                        run.mode,
-                        run.violations
-                    );
-                    let offered: u64 = run.phases.iter().map(|p| p.offered).sum();
-                    let accepted: u64 = run.phases.iter().map(|p| p.accepted).sum();
-                    let sheds: u64 = run.phases.iter().map(|p| p.admission_sheds()).sum();
-                    let outcomes: u64 =
-                        run.phases.iter().map(|p| p.accepted_outcomes()).sum();
-                    assert_eq!(
-                        accepted + sheds,
-                        offered,
-                        "seed {seed} {scenario} level {level:?} [{}]: admission split",
-                        run.mode
-                    );
-                    assert_eq!(
-                        outcomes, accepted,
-                        "seed {seed} {scenario} level {level:?} [{}]: exactly-once",
-                        run.mode
-                    );
-                    assert!(offered > 0, "trace generated no load");
-                }
+            let report = run_loadgen(&LoadgenConfig::quick(seed, scenario));
+            for run in &report.runs {
+                assert!(
+                    run.violations.is_empty(),
+                    "seed {seed} {scenario} [{}]: {:?}",
+                    run.mode,
+                    run.violations
+                );
+                let offered: u64 = run.phases.iter().map(|p| p.offered).sum();
+                let accepted: u64 = run.phases.iter().map(|p| p.accepted).sum();
+                let sheds: u64 = run.phases.iter().map(|p| p.admission_sheds()).sum();
+                let outcomes: u64 = run.phases.iter().map(|p| p.accepted_outcomes()).sum();
+                assert_eq!(
+                    accepted + sheds,
+                    offered,
+                    "seed {seed} {scenario} [{}]: admission split",
+                    run.mode
+                );
+                assert_eq!(
+                    outcomes, accepted,
+                    "seed {seed} {scenario} [{}]: exactly-once",
+                    run.mode
+                );
+                assert!(offered > 0, "trace generated no load");
             }
         }
     }
@@ -349,114 +334,99 @@ fn prop_edf_never_serves_expired_ahead_of_meetable() {
 // ---------------------------------------------------------------------------
 
 use needle::{
-    Admitted, AimdConfig, BrownoutConfig, FailReason, MetastableConfig, Outcome, ServeConfig,
-    ServiceCore, ShedReason,
+    Admitted, AimdConfig, FailReason, MetastableConfig, Outcome, ServeConfig, ServiceCore,
+    ShedReason,
 };
 
 /// Seeded random offer / next / complete / tick / drain sequences against
-/// the service core, hardened and with every overload option off, at
-/// every forced brownout level. Along every walk: each offer is either
-/// accepted or shed at admission; every accepted job is queued, running,
-/// or counted out exactly once; `next` never hands out an entry whose
-/// deadline has passed; and a core without overload options refuses only
-/// when its queue is full. After drain and the last completions the
+/// the service core, hardened and with every overload option off. Along
+/// every walk: each offer is either accepted or shed at admission; every
+/// accepted job is queued, running, or counted out exactly once; `next`
+/// never hands out an entry whose deadline has passed; and a core without
+/// overload options refuses only when its queue is full. After drain and the last completions the
 /// ledger closes: `accepted == completed + failed + shed_after_accept`.
 #[test]
-fn prop_service_core_ledger_closes_at_every_brownout_level() {
-    let levels = [
-        None,
-        Some(BrownoutLevel::Full),
-        Some(BrownoutLevel::NoRerank),
-        Some(BrownoutLevel::NoSampling),
-        Some(BrownoutLevel::NoOffload),
-    ];
+fn prop_service_core_ledger_closes() {
     const DEPTH: usize = 16;
     for seed in [1u64, 7, 42, 0xDEAD] {
-        for level in levels {
-            for hardened in [true, false] {
-                let ctx = format!("seed {seed} level {level:?} hardened {hardened}");
-                let mut core: ServiceCore<u64> = ServiceCore::new(&ServeConfig {
-                    workers: 2,
-                    queue_depth: DEPTH,
-                    default_deadline_ms: 1,
-                    adaptive_admission: hardened.then(AimdConfig::default),
-                    brownout: hardened.then(BrownoutConfig::default),
-                    metastable: hardened.then_some(MetastableConfig {
-                        warmup_windows: 2,
-                        confirm_windows: 1,
-                        ..MetastableConfig::default()
-                    }),
-                    ..ServeConfig::default()
-                });
-                if let Some(l) = level {
-                    core.force_level(l);
+        for hardened in [true, false] {
+            let ctx = format!("seed {seed} hardened {hardened}");
+            let mut core: ServiceCore<u64> = ServiceCore::new(&ServeConfig {
+                workers: 2,
+                queue_depth: DEPTH,
+                adaptive_admission: hardened.then(AimdConfig::default),
+                metastable: hardened.then_some(MetastableConfig {
+                    warmup_windows: 2,
+                    confirm_windows: 1,
+                    ..MetastableConfig::default()
+                }),
+                ..ServeConfig::default()
+            });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut now = 0u64;
+            let mut running: Vec<Admitted<u64>> = Vec::new();
+            let (mut offers, mut window_offers) = (0u64, 0u64);
+            for step in 0..3_000u64 {
+                if step == 2_700 {
+                    core.drain(now);
                 }
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut now = 0u64;
-                let mut running: Vec<Admitted<u64>> = Vec::new();
-                let (mut offers, mut window_offers) = (0u64, 0u64);
-                for step in 0..3_000u64 {
-                    if step == 2_700 {
-                        core.drain(now);
-                    }
-                    let drained = core.is_draining();
-                    match rng.gen_range(0u32..10) {
-                        0..=3 => {
-                            offers += 1;
-                            window_offers += 1;
-                            let full = core.queue_len() == DEPTH;
-                            let deadline = now + rng.gen_range(1u64..3_000);
-                            let refused = core.offer(now, deadline, step).err();
-                            if let (Some((reason, _)), false) = (refused, hardened) {
-                                let expected = match drained {
-                                    true => ShedReason::Draining,
-                                    false => ShedReason::QueueFull,
-                                };
-                                assert_eq!(reason, expected, "{ctx}: refused at step {step}");
-                                assert!(drained || full, "{ctx}: refused below capacity");
-                            }
-                        }
-                        4..=5 if running.len() < 2 => {
-                            let next = core.next(now);
-                            for e in &next.expired {
-                                assert!(e.deadline_us <= now, "{ctx}: swept a live entry");
-                            }
-                            if let Some(job) = next.job {
-                                assert!(job.deadline_us > now, "{ctx}: served an expired entry");
-                                running.push(job);
-                            }
-                        }
-                        6..=7 if !running.is_empty() => {
-                            let job = running.swap_remove(rng.gen_range(0..running.len()));
-                            let outcome = match rng.gen_range(0u32..3) {
-                                0 => Outcome::Failed(FailReason::Cancelled),
-                                _ => Outcome::Completed { fallback: false, frame_abort: false },
+                let drained = core.is_draining();
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        offers += 1;
+                        window_offers += 1;
+                        let full = core.queue_len() == DEPTH;
+                        let deadline = now + rng.gen_range(1u64..3_000);
+                        let refused = core.offer(now, deadline, step).err();
+                        if let (Some((reason, _)), false) = (refused, hardened) {
+                            let expected = match drained {
+                                true => ShedReason::Draining,
+                                false => ShedReason::QueueFull,
                             };
-                            core.complete(now, &job, &outcome);
+                            assert_eq!(reason, expected, "{ctx}: refused at step {step}");
+                            assert!(drained || full, "{ctx}: refused below capacity");
                         }
-                        8 => {
-                            core.tick(now, std::mem::take(&mut window_offers));
-                        }
-                        _ => now += rng.gen_range(0u64..400),
                     }
-                    let m = core.metrics();
-                    let sheds = m.shed_queue_full
-                        + m.shed_unmeetable
-                        + m.shed_throttled
-                        + m.shed_pre_draining;
-                    assert_eq!(offers, m.accepted + sheds, "{ctx}: admission split at {step}");
-                    let out = m.completed + m.failed + m.shed_after_accept;
-                    let held = (core.queue_len() + running.len()) as u64;
-                    assert_eq!(m.accepted, out + held, "{ctx}: job lost or doubled at {step}");
-                }
-                let done = Outcome::Completed { fallback: false, frame_abort: false };
-                for job in running.drain(..) {
-                    core.complete(now, &job, &done);
+                    4..=5 if running.len() < 2 => {
+                        let next = core.next(now);
+                        for e in &next.expired {
+                            assert!(e.deadline_us <= now, "{ctx}: swept a live entry");
+                        }
+                        if let Some(job) = next.job {
+                            assert!(job.deadline_us > now, "{ctx}: served an expired entry");
+                            running.push(job);
+                        }
+                    }
+                    6..=7 if !running.is_empty() => {
+                        let job = running.swap_remove(rng.gen_range(0..running.len()));
+                        let outcome = match rng.gen_range(0u32..3) {
+                            0 => Outcome::Failed(FailReason::Cancelled),
+                            _ => Outcome::Completed { fallback: false, frame_abort: false },
+                        };
+                        core.complete(now, &job, &outcome);
+                    }
+                    8 => {
+                        core.tick(now, std::mem::take(&mut window_offers));
+                    }
+                    _ => now += rng.gen_range(0u64..400),
                 }
                 let m = core.metrics();
-                assert!(m.invariant_holds(), "{ctx}: {m}");
-                assert!(m.accepted > 0 && m.shed_pre_draining > 0, "{ctx}: trace too short");
+                let sheds = m.shed_queue_full
+                    + m.shed_unmeetable
+                    + m.shed_throttled
+                    + m.shed_pre_draining;
+                assert_eq!(offers, m.accepted + sheds, "{ctx}: admission split at {step}");
+                let out = m.completed + m.failed + m.shed_after_accept;
+                let held = (core.queue_len() + running.len()) as u64;
+                assert_eq!(m.accepted, out + held, "{ctx}: job lost or doubled at {step}");
             }
+            let done = Outcome::Completed { fallback: false, frame_abort: false };
+            for job in running.drain(..) {
+                core.complete(now, &job, &done);
+            }
+            let m = core.metrics();
+            assert!(m.invariant_holds(), "{ctx}: {m}");
+            assert!(m.accepted > 0 && m.shed_pre_draining > 0, "{ctx}: trace too short");
         }
     }
 }
