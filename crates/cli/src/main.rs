@@ -127,25 +127,26 @@ USAGE:
       incumbent serving, and the soak verdict checks that it did.
       Deterministic in --seed; exits non-zero on any violation.
   needle loadgen [--scenario S|all] [--seed N] [--shards N] [--workers N]
-                 [--no-adaptive-admission] [--out PATH] [--check]
+                 [--queue-depth N] [--baseline] [--out PATH] [--check]
       Deterministic open-loop load generation against a virtual-time
       simulation that runs the serving stack's own service core per
-      shard (EDF queue + expired sweep, AIMD adaptive admission with
-      the unmeetable-deadline test, metastable detector + shed pulse).
-      Arrivals follow the scenario curve (steady | diurnal | burst |
-      adversarial | retry-storm) regardless of service health; clients
-      retry under per-client budgets with jittered exponential backoff,
-      and the retry-storm scenario adds a misbehaving-client population
-      with near-zero backoff. retry-storm always runs the hardened and
-      baseline (queue-full only) cores side by side; other scenarios
-      honour --no-adaptive-admission. Reports offered load, goodput, the
-      shed breakdown (queue-full / throttled / unmeetable), and exact
-      p50/p99/p999 latency per phase. Same seed → identical report
-      (modulo the generated_unix_ms stamp). --out writes the
-      needle-report/v1 JSON artifact; --check enforces the overload
-      gates (steady p999 ceiling; retry-storm goodput floor, detector
-      fire + recover, post-storm p99 recovery, and the
-      hardened-vs-baseline goodput gap) and exits non-zero on failure.
+      shard (EDF queue + expired sweep, and the unmeetable-deadline
+      test against a latency target). Arrivals follow the scenario
+      curve (steady | diurnal | burst | adversarial | retry-storm)
+      regardless of service health; clients retry under per-client
+      budgets with jittered exponential backoff, and the retry-storm
+      scenario adds a misbehaving-client population with near-zero
+      backoff. retry-storm always runs the hardened and baseline
+      (queue-full only) cores side by side; other scenarios run the
+      hardened core, or the baseline one with --baseline. Reports
+      offered load, goodput, the shed breakdown (queue-full /
+      unmeetable), and exact p50/p99/p999 latency per phase. Same seed
+      → identical report (modulo the generated_unix_ms stamp). --out
+      writes the needle-report/v1 JSON artifact; --check enforces the
+      overload gates (the admission ledger in every run; steady p999
+      ceiling; retry-storm goodput floor, baseline collapse, the
+      hardened-vs-baseline goodput gap, and post-storm p99 recovery)
+      and exits non-zero on failure.
   needle audit <journal>
       Offline exactly-once audit of a durable dedup journal written by
       `soak --shard-chaos --ledger PATH`: replays the journal, checks
@@ -833,8 +834,8 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     if let Some(s) = flag_value(args, "--queue-depth") {
         cfg.queue_depth = s.parse()?;
     }
-    if args.iter().any(|a| a == "--no-adaptive-admission") {
-        cfg.adaptive_admission = false;
+    if args.iter().any(|a| a == "--baseline") {
+        cfg.hardened = false;
     }
     let scenarios: Vec<Scenario> = match flag_value(args, "--scenario") {
         None | Some("all") => Scenario::all().to_vec(),

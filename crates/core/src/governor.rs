@@ -309,9 +309,6 @@ pub enum EventKind {
     /// The certification gate refused to publish a frame (refuted, or
     /// unproven under `RequireProof`); the incumbent stayed installed.
     CertRefused,
-    /// The metastable-failure detector fired (goodput collapse at normal
-    /// offered load) or declared recovery.
-    Metastable,
 }
 
 impl std::fmt::Display for EventKind {
@@ -324,7 +321,6 @@ impl std::fmt::Display for EventKind {
             EventKind::Malformed => "malformed-epoch",
             EventKind::BuildFailed => "build-failed",
             EventKind::CertRefused => "cert-refused",
-            EventKind::Metastable => "metastable",
         };
         write!(f, "{s}")
     }

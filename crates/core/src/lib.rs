@@ -81,10 +81,7 @@ pub use loadgen::{
     check_loadgen, run_loadgen, ClientConfig, LoadgenConfig, LoadgenReport, LoadgenRun,
     PhaseStats, Scenario,
 };
-pub use overload::{
-    Admitted, AimdAdmission, AimdConfig, DeadlineQueue, MetastableConfig, MetastableDetector,
-    MetastableSignal, Next, ServiceCore, Tick,
-};
+pub use overload::{Admitted, DeadlineQueue, Next, ServiceCore};
 pub use supervisor::{
     peek_journal, run_supervised, CampaignOptions, CampaignReport, CampaignUnit, UnitKind,
     UnitOutcome, UnitPayload, UnitReport,

@@ -22,13 +22,11 @@
 //!
 //! Two service configurations of that core are simulated:
 //!
-//! * **hardened** — AIMD adaptive admission with the unmeetable-deadline
-//!   test, and the metastable detector + shed pulse: the post-hardening
-//!   stack.
-//! * **baseline** — both overload options off, so queue-full is the only
-//!   refusal: the pre-hardening stack (`--no-adaptive-admission`).
-//!   Every attempt's deadline is its arrival plus one fixed budget, so
-//!   the EDF queue serves it in FIFO order.
+//! * **hardened** — the unmeetable-deadline test with a latency target:
+//!   an attempt projected to finish past it is refused at arrival.
+//! * **baseline** — no latency target, so queue-full is the only
+//!   refusal (`--baseline`). Every attempt's deadline is its arrival
+//!   plus one fixed budget, so the EDF queue serves it in FIFO order.
 //!
 //! The [`Scenario::RetryStorm`] scenario always runs both side by side so
 //! the report carries the direct comparison the CI gate asserts: hardened
@@ -40,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::journal::Json;
-use crate::overload::{Admitted, AimdConfig, MetastableConfig, MetastableSignal, ServiceCore};
+use crate::overload::{Admitted, ServiceCore};
 use crate::report;
 use crate::serve::{FailReason, MetricsSnapshot, Outcome, ServeConfig, ShedReason};
 
@@ -177,13 +175,11 @@ pub struct LoadgenConfig {
     pub deadline_us: u64,
     /// Virtual duration of each of the three phases, µs.
     pub phase_us: u64,
-    /// Overload-control window (the metastable detector's), µs.
-    pub window_us: u64,
     /// Every Nth request carries the streaming-profiler sampling cost.
     pub sample_period: u64,
     /// Hardened (true) or baseline (false) service model for scenarios
     /// other than [`Scenario::RetryStorm`], which always runs both.
-    pub adaptive_admission: bool,
+    pub hardened: bool,
     /// Client populations.
     pub client: ClientConfig,
 }
@@ -199,9 +195,8 @@ impl Default for LoadgenConfig {
             service_us: 1_000,
             deadline_us: 8_000,
             phase_us: 3_000_000,
-            window_us: 100_000,
             sample_period: 16,
-            adaptive_admission: true,
+            hardened: true,
             client: ClientConfig::default(),
         }
     }
@@ -220,7 +215,6 @@ impl LoadgenConfig {
             service_us: 500,
             deadline_us: 4_000,
             phase_us: 300_000,
-            window_us: 25_000,
             ..LoadgenConfig::default()
         }
     }
@@ -263,17 +257,13 @@ pub struct PhaseStats {
     /// Admitted attempts cancelled mid-run at their deadline (pure waste:
     /// the worker time is spent, nothing is produced).
     pub cancelled: u64,
-    /// Admitted attempts that expired in queue (swept or found dead at
-    /// pop).
+    /// Admitted attempts that expired in queue (swept before a dequeue,
+    /// or still queued when the run ended).
     pub expired: u64,
     /// Shed at admission: queue full.
     pub shed_queue_full: u64,
-    /// Shed at admission: AIMD gate or active shed pulse.
-    pub shed_throttled: u64,
     /// Shed at admission: estimated wait says the deadline is unmeetable.
     pub shed_unmeetable: u64,
-    /// Admitted attempts flushed by a metastable shed pulse.
-    pub pulse_flushed: u64,
     /// Exact completion-latency percentiles (accept→complete), µs.
     pub p50_us: u64,
     /// 99th percentile latency, µs.
@@ -285,12 +275,12 @@ pub struct PhaseStats {
 impl PhaseStats {
     /// Everything that happened to an *accepted* attempt.
     pub fn accepted_outcomes(&self) -> u64 {
-        self.completed + self.cancelled + self.expired + self.pulse_flushed
+        self.completed + self.cancelled + self.expired
     }
 
     /// Everything shed at admission.
     pub fn admission_sheds(&self) -> u64 {
-        self.shed_queue_full + self.shed_throttled + self.shed_unmeetable
+        self.shed_queue_full + self.shed_unmeetable
     }
 
     fn to_json(&self, phase_s: f64) -> Json {
@@ -304,9 +294,7 @@ impl PhaseStats {
             ("cancelled".into(), Json::Int(self.cancelled as i64)),
             ("expired".into(), Json::Int(self.expired as i64)),
             ("shed_queue_full".into(), Json::Int(self.shed_queue_full as i64)),
-            ("shed_throttled".into(), Json::Int(self.shed_throttled as i64)),
             ("shed_unmeetable".into(), Json::Int(self.shed_unmeetable as i64)),
-            ("pulse_flushed".into(), Json::Int(self.pulse_flushed as i64)),
             (
                 "offered_per_s".into(),
                 Json::Float(self.offered as f64 / phase_s),
@@ -329,15 +317,6 @@ pub struct LoadgenRun {
     pub mode: String,
     /// Per-phase stats, in time order.
     pub phases: Vec<PhaseStats>,
-    /// Virtual-time overload events (metastable fire/recover, pulse end),
-    /// `(t_us, description)`.
-    pub timeline: Vec<(u64, String)>,
-    /// Metastable detector firings.
-    pub metastable_fired: u64,
-    /// Metastable recoveries.
-    pub metastable_recovered: u64,
-    /// Mean final AIMD acceptance rate across shards (1.0 for baseline).
-    pub aimd_final_rate: f64,
     /// Accounting-invariant violations (empty = clean).
     pub violations: Vec<String>,
 }
@@ -359,28 +338,6 @@ impl LoadgenRun {
                 Json::Arr(self.phases.iter().map(|p| p.to_json(phase_s)).collect()),
             ),
             ("goodput_ratio".into(), Json::Float(self.goodput_ratio())),
-            (
-                "metastable".into(),
-                Json::Obj(vec![
-                    ("fired".into(), Json::Int(self.metastable_fired as i64)),
-                    ("recovered".into(), Json::Int(self.metastable_recovered as i64)),
-                ]),
-            ),
-            ("aimd_final_rate".into(), Json::Float(self.aimd_final_rate)),
-            (
-                "timeline".into(),
-                Json::Arr(
-                    self.timeline
-                        .iter()
-                        .map(|(t, s)| {
-                            Json::Obj(vec![
-                                ("t_us".into(), Json::Int(*t as i64)),
-                                ("event".into(), Json::Str(s.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             (
                 "violations".into(),
                 Json::Arr(self.violations.iter().map(|v| Json::Str(v.clone())).collect()),
@@ -423,7 +380,6 @@ impl LoadgenReport {
             ("service_us".into(), Json::Int(self.config.service_us as i64)),
             ("deadline_us".into(), Json::Int(self.config.deadline_us as i64)),
             ("phase_us".into(), Json::Int(self.config.phase_us as i64)),
-            ("window_us".into(), Json::Int(self.config.window_us as i64)),
             (
                 "runs".into(),
                 Json::Arr(self.runs.iter().map(|r| r.to_json(phase_s)).collect()),
@@ -457,7 +413,7 @@ impl std::fmt::Display for LoadgenReport {
                 writeln!(
                     f,
                     "    {:<12} offered {:>7} (fresh {:>6} + retry {:>6})  accepted {:>6}  \
-                     goodput {:>6}  shed qf/thr/unm {:>5}/{:>5}/{:>5}  exp {:>5}  cancel {:>4}  \
+                     goodput {:>6}  shed qf/unm {:>5}/{:>5}  exp {:>5}  cancel {:>4}  \
                      p50/p99/p999 {:>5}/{:>5}/{:>5}µs",
                     p.name,
                     p.offered,
@@ -466,7 +422,6 @@ impl std::fmt::Display for LoadgenReport {
                     p.accepted,
                     p.completed,
                     p.shed_queue_full,
-                    p.shed_throttled,
                     p.shed_unmeetable,
                     p.expired,
                     p.cancelled,
@@ -475,18 +430,7 @@ impl std::fmt::Display for LoadgenReport {
                     p.p999_us
                 )?;
             }
-            writeln!(
-                f,
-                "    goodput ratio (disturbed/pre): {:.3}; metastable {} fired / {} recovered; \
-                 aimd rate {:.2}",
-                run.goodput_ratio(),
-                run.metastable_fired,
-                run.metastable_recovered,
-                run.aimd_final_rate
-            )?;
-            for (t, e) in &run.timeline {
-                writeln!(f, "      t={:>9}µs {}", t, e)?;
-            }
+            writeln!(f, "    goodput ratio (disturbed/pre): {:.3}", run.goodput_ratio())?;
         }
         Ok(())
     }
@@ -518,12 +462,6 @@ pub fn check_loadgen(report: &LoadgenReport) -> Vec<String> {
                         ));
                     }
                 }
-                if h.metastable_fired > 0 {
-                    fails.push(format!(
-                        "[hardened] metastable detector fired {} time(s) under steady load",
-                        h.metastable_fired
-                    ));
-                }
             }
         }
         Scenario::RetryStorm => {
@@ -535,12 +473,6 @@ pub fn check_loadgen(report: &LoadgenReport) -> Vec<String> {
                     fails.push(format!(
                         "[hardened] storm goodput ratio {ratio:.3} below the 0.70 floor"
                     ));
-                }
-                if h.metastable_fired == 0 {
-                    fails.push("[hardened] metastable detector never fired".into());
-                }
-                if h.metastable_recovered == 0 {
-                    fails.push("[hardened] metastable episode never recovered".into());
                 }
                 let (pre, post) = (&h.phases[0], &h.phases[2]);
                 if post.p99_us > pre.p99_us.saturating_mul(2).max(report.config.service_us * 4) {
@@ -611,8 +543,6 @@ enum EvKind {
         attempt: Admitted<Attempt>,
         completed: bool,
     },
-    /// Overload-control window: every shard's core ticks.
-    Window,
     /// Governor re-rank maintenance tick.
     Rerank,
     /// A shard's re-rank finished; the worker frees up.
@@ -647,9 +577,6 @@ impl Ord for Ev {
 struct SimShard {
     core: ServiceCore<Attempt>,
     free_workers: usize,
-    /// Fresh arrivals routed here since the last window: the detector's
-    /// offered load (exogenous demand, retries excluded).
-    window_fresh: u64,
 }
 
 /// Per-phase accumulator (latencies kept raw for exact percentiles).
@@ -659,37 +586,20 @@ struct PhaseAcc {
     latencies: Vec<u64>,
 }
 
-/// The service configuration one shard's core runs. Hardened: AIMD with a
-/// tight latency target and slow additive recovery (sustained overload
-/// winds admission down hard, and the wind-down itself is the metastable
-/// state the detector and pulse must break), and a detector whose "normal
-/// load" band leaves headroom for post-storm retries. Baseline: the same
-/// core with both options off — a bounded queue whose only refusal is
-/// queue-full.
+/// The service configuration one shard's core runs. Hardened: a latency
+/// target of 0.35 of the budget, tighter than the service's 0.75 default.
+/// Under sustained overload the unmeetable test keeps each admitted job's
+/// projected completion under target × budget, so the latency tail sits
+/// near that bound: with the 8 ms budget, post-storm p99 is about 2.7 ms
+/// at 0.35 and 6 ms at 0.75, past the 4 ms gate. Baseline: no target — a
+/// bounded queue whose only refusal is queue-full.
 fn shard_serve_config(cfg: &LoadgenConfig, hardened: bool) -> ServeConfig {
-    let baseline = ServeConfig {
+    ServeConfig {
         workers: cfg.workers_per_shard.max(1),
         queue_depth: cfg.queue_depth.max(1),
         default_deadline_ms: (cfg.deadline_us / 1_000).max(1),
-        adaptive_admission: None,
-        metastable: None,
+        latency_target: hardened.then_some(0.35),
         ..ServeConfig::default()
-    };
-    if !hardened {
-        return baseline;
-    }
-    ServeConfig {
-        adaptive_admission: Some(AimdConfig {
-            target_fraction: 0.35,
-            increase: 0.000_1,
-            ..AimdConfig::default()
-        }),
-        metastable: Some(MetastableConfig {
-            normal_load_fraction: 3.0,
-            recover_fraction: 0.6,
-            ..MetastableConfig::default()
-        }),
-        ..baseline
     }
 }
 
@@ -703,7 +613,6 @@ struct Sim<'a> {
     end: u64,
     shards: Vec<SimShard>,
     phases: [PhaseAcc; 3],
-    timeline: Vec<(u64, String)>,
     next_req: u64,
 }
 
@@ -715,7 +624,6 @@ impl<'a> Sim<'a> {
             .map(|_| SimShard {
                 core: ServiceCore::new(&serve),
                 free_workers: cfg.workers_per_shard.max(1),
-                window_fresh: 0,
             })
             .collect();
         let names = cfg.scenario.phase_names();
@@ -733,7 +641,6 @@ impl<'a> Sim<'a> {
             end: cfg.phase_us * 3,
             shards,
             phases,
-            timeline: Vec::new(),
             next_req: 0,
         }
     }
@@ -894,7 +801,6 @@ impl<'a> Sim<'a> {
             self.phases[pi].stats.retries += 1;
         } else {
             a.giveup_us = deadline;
-            self.shards[si].window_fresh += 1;
             self.phases[pi].stats.fresh += 1;
         }
         match self.shards[si].core.offer(now, deadline, a) {
@@ -903,11 +809,13 @@ impl<'a> Sim<'a> {
                 self.dispatch(si);
             }
             Err((reason, a)) => {
+                // The core drains only after the run, so a refusal here
+                // is queue-full or unmeetable.
                 let stats = &mut self.phases[pi].stats;
-                match reason {
-                    ShedReason::QueueFull => stats.shed_queue_full += 1,
-                    ShedReason::Unmeetable => stats.shed_unmeetable += 1,
-                    _ => stats.shed_throttled += 1,
+                if reason == ShedReason::Unmeetable {
+                    stats.shed_unmeetable += 1;
+                } else {
+                    stats.shed_queue_full += 1;
                 }
                 self.client_retry(a, now);
             }
@@ -934,41 +842,6 @@ impl<'a> Sim<'a> {
         self.dispatch(si);
     }
 
-    fn on_window(&mut self) {
-        let now = self.now;
-        for si in 0..self.shards.len() {
-            let fresh = std::mem::take(&mut self.shards[si].window_fresh);
-            let tick = self.shards[si].core.tick(now, fresh);
-            if tick.pulse_ended {
-                self.timeline
-                    .push((now, format!("shard {si}: pulse ended; admission reopened")));
-            }
-            let flushed = tick.flushed.len() as u64;
-            let pi = self.phase_idx(now);
-            self.phases[pi].stats.pulse_flushed += flushed;
-            for a in tick.flushed {
-                self.client_retry(a.job, now);
-            }
-            match tick.metastable {
-                Some(MetastableSignal::Fire) => self.timeline.push((
-                    now,
-                    format!(
-                        "shard {si}: metastable: fired (goodput collapse at normal load); \
-                         pulse flushed {flushed} queued"
-                    ),
-                )),
-                Some(MetastableSignal::Recover) => {
-                    self.timeline.push((now, format!("shard {si}: metastable: recovered")));
-                }
-                None => {}
-            }
-        }
-        let next = now + self.cfg.window_us.max(1);
-        if next < self.end {
-            self.schedule(next, EvKind::Window);
-        }
-    }
-
     fn on_rerank(&mut self) {
         let now = self.now;
         for si in 0..self.shards.len() {
@@ -985,7 +858,6 @@ impl<'a> Sim<'a> {
 
     fn run(mut self) -> LoadgenRun {
         self.schedule(0, EvKind::Fresh);
-        self.schedule(self.cfg.window_us.max(1), EvKind::Window);
         self.schedule(RERANK_PERIOD_US, EvKind::Rerank);
         while let Some(ev) = self.heap.pop() {
             self.now = ev.t;
@@ -1021,7 +893,6 @@ impl<'a> Sim<'a> {
                     attempt,
                     completed,
                 } => self.on_done(shard, attempt, completed),
-                EvKind::Window => self.on_window(),
                 EvKind::Rerank => self.on_rerank(),
                 EvKind::RerankDone { shard } => {
                     self.shards[shard].free_workers += 1;
@@ -1089,14 +960,9 @@ impl<'a> Sim<'a> {
         if let Some(imbalance) = cores.imbalance() {
             violations.push(format!("core {imbalance}"));
         }
-        let rate_sum: f64 = self.shards.iter().map(|sh| sh.core.admission_rate()).sum();
         LoadgenRun {
             mode: if self.hardened { "hardened" } else { "baseline" }.to_string(),
             phases: self.phases.into_iter().map(|a| a.stats).collect(),
-            timeline: self.timeline,
-            metastable_fired: cores.metastable_fired,
-            metastable_recovered: cores.metastable_recovered,
-            aimd_final_rate: rate_sum / self.shards.len() as f64,
             violations,
         }
     }
@@ -1105,14 +971,14 @@ impl<'a> Sim<'a> {
 /// Run one scenario. [`Scenario::RetryStorm`] always simulates the
 /// hardened and baseline service models side by side (the comparison *is*
 /// the point); other scenarios run the model selected by
-/// [`LoadgenConfig::adaptive_admission`].
+/// [`LoadgenConfig::hardened`].
 pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     let runs = match cfg.scenario {
         Scenario::RetryStorm => vec![
             Sim::new(cfg, true).run(),
             Sim::new(cfg, false).run(),
         ],
-        _ => vec![Sim::new(cfg, cfg.adaptive_admission).run()],
+        _ => vec![Sim::new(cfg, cfg.hardened).run()],
     };
     LoadgenReport {
         scenario: cfg.scenario,
@@ -1155,7 +1021,6 @@ mod tests {
         let report = run_loadgen(&LoadgenConfig::quick(42, Scenario::Steady));
         let run = &report.runs[0];
         assert!(run.violations.is_empty(), "{:?}", run.violations);
-        assert_eq!(run.metastable_fired, 0);
         let total: u64 = run.phases.iter().map(|p| p.completed).sum();
         assert!(total > 0, "steady load must complete work");
         for p in &run.phases {
@@ -1172,9 +1037,9 @@ mod tests {
     #[test]
     fn every_scenario_closes_its_ledger_in_both_modes() {
         for scenario in Scenario::all() {
-            for adaptive in [true, false] {
+            for hardened in [true, false] {
                 let cfg = LoadgenConfig {
-                    adaptive_admission: adaptive,
+                    hardened,
                     ..LoadgenConfig::quick(9, scenario)
                 };
                 let report = run_loadgen(&cfg);

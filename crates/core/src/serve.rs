@@ -12,17 +12,16 @@
 //!   one [`ServiceCore`] held with the breaker table under a single state
 //!   lock and driven by wall-clock microseconds; the load generator runs
 //!   the same core in virtual time. When the queue is full, the service
-//!   is draining or throttled, or at the observed service time the
-//!   request would finish past AIMD's latency target, it is shed *at
-//!   submission* with a typed [`ShedReason`] instead of being queued to
-//!   die.
+//!   is draining, or at the observed service time the request would
+//!   finish past the latency target, it is shed *at submission* with a
+//!   typed [`ShedReason`] instead of being queued to die.
 //! * **Exactly-once** — an accepted request receives exactly one terminal
 //!   [`Response`]: completed, failed, or shed-after-accept. Never zero
 //!   (lost), never two (duplicated). Structurally, every accepted job
 //!   leaves the core once — popped by exactly one worker (which answers
-//!   it on every exit path, panics included), or swept as expired,
-//!   flushed by a shed pulse, or drained by shutdown (each answered as
-//!   shed); [`respond`] is the only function that sends.
+//!   it on every exit path, panics included), or swept as expired or
+//!   drained by shutdown (each answered as shed); [`respond`] is the only
+//!   function that sends.
 //! * **Worker pool** — a fixed pool executes via the pre-decoded engine
 //!   with warm per-worker decode caches. Each worker is panic-isolated:
 //!   a poisoned execution still answers its request, then the worker
@@ -83,7 +82,7 @@ use crate::governor::{
     GovernorStats, PathCandidate, WorkloadObservation,
 };
 use crate::journal::Json;
-use crate::overload::{Admitted, AimdConfig, MetastableConfig, MetastableSignal, ServiceCore};
+use crate::overload::{Admitted, ServiceCore};
 use crate::report;
 use crate::supervisor::silence_supervised_panics;
 use crate::sync::{plock, pwait_timeout};
@@ -124,14 +123,11 @@ pub struct ServeConfig {
     /// (RCU-style — in-flight executions finish on the old epoch's
     /// frames) with breaker-informed demotion of aborting regions.
     pub adaptive: Option<GovernorConfig>,
-    /// AIMD adaptive admission: the acceptance rate tightens on measured
-    /// completion-latency breaches and queue expiries, and reopens
-    /// additively on healthy completions. `None` also drops the
-    /// unmeetable-deadline test, leaving only the queue-depth gate.
-    pub adaptive_admission: Option<AimdConfig>,
-    /// Metastable-failure detector: goodput collapsed while offered load
-    /// is back to normal triggers a forced load-shed pulse.
-    pub metastable: Option<MetastableConfig>,
+    /// The unmeetable-deadline test's latency target, as a share of each
+    /// request's remaining budget: a request whose projected completion
+    /// lies past it is shed at submission. `None` drops the test, leaving
+    /// only the queue-depth gate.
+    pub latency_target: Option<f64>,
 }
 
 impl Default for ServeConfig {
@@ -155,8 +151,7 @@ impl Default for ServeConfig {
             ],
             frame_workload: Some("svc.sum".into()),
             adaptive: None,
-            adaptive_admission: Some(AimdConfig::default()),
-            metastable: Some(MetastableConfig::default()),
+            latency_target: Some(0.75),
         }
     }
 }
@@ -236,10 +231,6 @@ pub enum ShedReason {
     /// currently pending) — the sharded router's dedup ledger refused a
     /// second execution.
     Duplicate,
-    /// Refused by the AIMD admission controller (acceptance rate below
-    /// 1 after latency breaches), or shed by a metastable load-shed
-    /// pulse.
-    Throttled,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -250,7 +241,6 @@ impl std::fmt::Display for ShedReason {
             ShedReason::Expired => write!(f, "expired in queue"),
             ShedReason::Draining => write!(f, "service draining"),
             ShedReason::Duplicate => write!(f, "duplicate idempotency key"),
-            ShedReason::Throttled => write!(f, "throttled by adaptive admission"),
         }
     }
 }
@@ -410,8 +400,8 @@ pub struct MetricsSnapshot {
     pub shed_unmeetable: u64,
     /// Refused at submission: draining.
     pub shed_pre_draining: u64,
-    /// Refused at submission: AIMD admission throttle or metastable shed
-    /// pulse.
+    /// Always 0: nothing throttles admission any more, and the
+    /// benchmark's serving probe still reads the field.
     pub shed_throttled: u64,
     /// Accepted requests that completed.
     pub completed: u64,
@@ -452,10 +442,10 @@ pub struct MetricsSnapshot {
     /// Always 0: the degradation ladder that counted its descents here is
     /// gone, and the benchmark's serving probe still reads the field.
     pub brownout_descents: u64,
-    /// Metastable-failure detector firings (forced shed pulses).
+    /// Always 0: the metastable-failure detector that counted its firings
+    /// here is gone, and the benchmark's serving probe still reads the
+    /// field.
     pub metastable_fired: u64,
-    /// Metastable episodes that recovered.
-    pub metastable_recovered: u64,
 }
 
 impl MetricsSnapshot {
@@ -476,15 +466,6 @@ impl MetricsSnapshot {
         })
     }
 
-    /// Submissions: accepted plus every shed at admission.
-    pub(crate) fn offered(&self) -> u64 {
-        self.accepted
-            + self.shed_queue_full
-            + self.shed_unmeetable
-            + self.shed_pre_draining
-            + self.shed_throttled
-    }
-
     /// Total breaker trips across functions.
     pub fn trips(&self) -> u64 {
         self.breakers.iter().map(|b| b.trips).sum()
@@ -503,9 +484,6 @@ impl MetricsSnapshot {
         self.shed_queue_full += other.shed_queue_full;
         self.shed_unmeetable += other.shed_unmeetable;
         self.shed_pre_draining += other.shed_pre_draining;
-        self.shed_throttled += other.shed_throttled;
-        self.metastable_fired += other.metastable_fired;
-        self.metastable_recovered += other.metastable_recovered;
         self.completed += other.completed;
         self.failed += other.failed;
         self.shed_after_accept += other.shed_after_accept;
@@ -570,14 +548,8 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  pre-admission sheds: {} queue-full, {} unmeetable, {} draining, {} throttled",
-            self.shed_queue_full, self.shed_unmeetable, self.shed_pre_draining,
-            self.shed_throttled
-        )?;
-        writeln!(
-            f,
-            "  overload: metastable {} fired / {} recovered",
-            self.metastable_fired, self.metastable_recovered
+            "  pre-admission sheds: {} queue-full, {} unmeetable, {} draining",
+            self.shed_queue_full, self.shed_unmeetable, self.shed_pre_draining
         )?;
         writeln!(
             f,
@@ -778,51 +750,11 @@ struct FuncStat {
 /// How often an idle worker wakes from the queue condvar to beat.
 const IDLE_BEAT_MS: u64 = 20;
 
-/// The watchdog runs its cancel sweep every ~1ms; every Nth sweep it
-/// also ticks the overload core, i.e. every ~50ms.
-const OVERLOAD_TICK_EVERY: u64 = 50;
-
 fn beat(inner: &Inner, wi: usize) {
     inner.beats[wi].store(
         inner.epoch.elapsed().as_millis() as u64,
         Ordering::Relaxed,
     );
-}
-
-/// One overload-control tick on the watchdog thread. The detector's
-/// offered load is every submission since the last tick (`seen` carries
-/// the running total); the service cannot tell a retry from a fresh
-/// request. Flushed jobs are answered as throttled, and detector moves
-/// land on the governor timeline.
-fn overload_tick(inner: &Inner, seen: &mut u64) {
-    let (now_us, tick) = {
-        let mut st = plock(&inner.state);
-        let now_us = inner.now_us();
-        let offered = st.core.metrics().offered();
-        let tick = st.core.tick(now_us, offered - *seen);
-        *seen = offered;
-        (now_us, tick)
-    };
-    let n = tick.flushed.len();
-    for a in tick.flushed {
-        let latency_us = now_us.saturating_sub(a.accepted_us);
-        respond(a.job, Outcome::Shed(ShedReason::Throttled), latency_us);
-    }
-    let detail = match tick.metastable {
-        Some(MetastableSignal::Fire) => {
-            format!("goodput collapse at normal load; shed pulse flushed {n} queued")
-        }
-        Some(MetastableSignal::Recover) => "goodput recovered; metastable episode over".into(),
-        None => return,
-    };
-    let mut gs = plock(&inner.governor_stats);
-    let epoch = gs.epochs;
-    gs.push_event(EpochEvent {
-        epoch,
-        kind: EventKind::Metastable,
-        workload: String::new(),
-        detail,
-    });
 }
 
 /// A catalog entry resolved into executable form (worker-local; the
@@ -944,8 +876,6 @@ impl Service {
         let watchdog = std::thread::Builder::new()
             .name("needle-usrv-watchdog".into())
             .spawn(move || {
-                let mut seen = 0u64;
-                let mut ticks = 0u64;
                 while !stop2.load(Ordering::SeqCst) {
                     let now = Instant::now();
                     for slot in &inner3.inflight {
@@ -955,10 +885,6 @@ impl Service {
                                 inf.token.cancel();
                             }
                         }
-                    }
-                    ticks += 1;
-                    if ticks.is_multiple_of(OVERLOAD_TICK_EVERY) {
-                        overload_tick(&inner3, &mut seen);
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -1189,9 +1115,9 @@ fn snapshot(inner: &Inner) -> MetricsSnapshot {
 }
 
 /// The single send site. Exactly-once holds because every accepted
-/// [`Job`] reaches this function exactly once: swept as expired or popped
-/// by one worker, flushed by a shed pulse, or drained by shutdown. The
-/// core counted it on the way out.
+/// [`Job`] reaches this function exactly once: swept as expired, popped
+/// by one worker, or drained by shutdown. The core counted it on the way
+/// out.
 fn respond(job: Job, outcome: Outcome, latency_us: u64) {
     let _ = job.reply.send(Response {
         id: job.req.id,

@@ -248,11 +248,11 @@ fn breaker_probe_is_exclusive_and_budget_bounded() {
 use needle::{run_loadgen, DeadlineQueue, LoadgenConfig, Scenario};
 
 /// The admission ledger must close under seeded open-loop arrival traces:
-/// every offered attempt is either shed at admission or accepted, and every accepted attempt resolves to exactly
-/// one outcome (completed, cancelled mid-run, expired in queue, or
-/// flushed by a shed pulse) — `accepted == completed + failed +
-/// shed_after_accept`, recomputed here from the raw phase counters
-/// rather than trusted from the run's own violation check.
+/// every offered attempt is either shed at admission or accepted, and
+/// every accepted attempt resolves to exactly one outcome (completed,
+/// cancelled mid-run, or expired in queue) — `accepted == completed +
+/// failed + shed_after_accept`, recomputed here from the raw phase
+/// counters rather than trusted from the run's own violation check.
 #[test]
 fn prop_loadgen_admission_ledger_closes() {
     for seed in [1u64, 7, 42, 0xDEAD] {
@@ -333,18 +333,17 @@ fn prop_edf_never_serves_expired_ahead_of_meetable() {
 // Service-core properties
 // ---------------------------------------------------------------------------
 
-use needle::{
-    Admitted, AimdConfig, FailReason, MetastableConfig, Outcome, ServeConfig, ServiceCore,
-    ShedReason,
-};
+use needle::{Admitted, FailReason, Outcome, ServeConfig, ServiceCore, ShedReason};
 
-/// Seeded random offer / next / complete / tick / drain sequences against
-/// the service core, hardened and with every overload option off. Along
-/// every walk: each offer is either accepted or shed at admission; every
-/// accepted job is queued, running, or counted out exactly once; `next`
-/// never hands out an entry whose deadline has passed; and a core without
-/// overload options refuses only when its queue is full. After drain and the last completions the
-/// ledger closes: `accepted == completed + failed + shed_after_accept`.
+/// Seeded random offer / next / complete / drain sequences against the
+/// service core, hardened (with the default latency target) and without
+/// one. Along every walk: each offer is either accepted or shed at
+/// admission; every refusal is draining (only after drain), queue-full
+/// (only at capacity) or unmeetable (only on the hardened core, below
+/// capacity); every accepted job is queued, running, or counted out
+/// exactly once; and `next` never hands out an entry whose deadline has
+/// passed. After drain and the last completions the ledger closes:
+/// `accepted == completed + failed + shed_after_accept`.
 #[test]
 fn prop_service_core_ledger_closes() {
     const DEPTH: usize = 16;
@@ -354,18 +353,13 @@ fn prop_service_core_ledger_closes() {
             let mut core: ServiceCore<u64> = ServiceCore::new(&ServeConfig {
                 workers: 2,
                 queue_depth: DEPTH,
-                adaptive_admission: hardened.then(AimdConfig::default),
-                metastable: hardened.then_some(MetastableConfig {
-                    warmup_windows: 2,
-                    confirm_windows: 1,
-                    ..MetastableConfig::default()
-                }),
+                latency_target: hardened.then_some(0.75),
                 ..ServeConfig::default()
             });
             let mut rng = StdRng::seed_from_u64(seed);
             let mut now = 0u64;
             let mut running: Vec<Admitted<u64>> = Vec::new();
-            let (mut offers, mut window_offers) = (0u64, 0u64);
+            let mut offers = 0u64;
             for step in 0..3_000u64 {
                 if step == 2_700 {
                     core.drain(now);
@@ -374,17 +368,16 @@ fn prop_service_core_ledger_closes() {
                 match rng.gen_range(0u32..10) {
                     0..=3 => {
                         offers += 1;
-                        window_offers += 1;
                         let full = core.queue_len() == DEPTH;
                         let deadline = now + rng.gen_range(1u64..3_000);
-                        let refused = core.offer(now, deadline, step).err();
-                        if let (Some((reason, _)), false) = (refused, hardened) {
-                            let expected = match drained {
-                                true => ShedReason::Draining,
-                                false => ShedReason::QueueFull,
+                        if let Err((reason, _)) = core.offer(now, deadline, step) {
+                            let allowed = match reason {
+                                ShedReason::Draining => drained,
+                                ShedReason::QueueFull => !drained && full,
+                                ShedReason::Unmeetable => hardened && !drained && !full,
+                                _ => false,
                             };
-                            assert_eq!(reason, expected, "{ctx}: refused at step {step}");
-                            assert!(drained || full, "{ctx}: refused below capacity");
+                            assert!(allowed, "{ctx}: {reason} refusal at step {step}");
                         }
                     }
                     4..=5 if running.len() < 2 => {
@@ -405,16 +398,10 @@ fn prop_service_core_ledger_closes() {
                         };
                         core.complete(now, &job, &outcome);
                     }
-                    8 => {
-                        core.tick(now, std::mem::take(&mut window_offers));
-                    }
                     _ => now += rng.gen_range(0u64..400),
                 }
                 let m = core.metrics();
-                let sheds = m.shed_queue_full
-                    + m.shed_unmeetable
-                    + m.shed_throttled
-                    + m.shed_pre_draining;
+                let sheds = m.shed_queue_full + m.shed_unmeetable + m.shed_pre_draining;
                 assert_eq!(offers, m.accepted + sheds, "{ctx}: admission split at {step}");
                 let out = m.completed + m.failed + m.shed_after_accept;
                 let held = (core.queue_len() + running.len()) as u64;
