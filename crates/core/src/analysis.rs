@@ -33,7 +33,7 @@ pub struct Analysis {
     pub inlined_calls: usize,
     /// Ball-Larus numbering of the hot function.
     pub numbering: BlNumbering,
-    /// Raw path profile (counts + trace).
+    /// Raw path profile (path counts and within-invocation path pairs).
     pub path_profile: PathProfile,
     /// Edge/block profile.
     pub edge_profile: EdgeProfile,
@@ -45,7 +45,8 @@ pub struct Analysis {
     pub stats: ControlFlowStats,
     /// Figure 4 branch-bias histogram.
     pub bias: BiasHistogram,
-    /// Table III next-path expansion statistics (None for trivial traces).
+    /// Table III next-path expansion statistics (None when the top path
+    /// is never followed by another within one invocation).
     pub expansion: Option<ExpansionStats>,
     /// The Superblock baseline grown from the hot loop seed.
     pub superblock: Superblock,
@@ -104,9 +105,61 @@ pub fn analyze(
     memory: &Memory,
     cfg: &NeedleConfig,
 ) -> Result<Analysis, AnalysisError> {
+    analyze_at(module, func, func, args, memory, cfg)
+}
+
+/// Profile `entry` and analyze the *hottest* function by weight
+/// (`Fwt = Σ Pwt`), which may be a callee of `entry` — the paper reports
+/// "the highest ranked function by weight". When that is `entry` itself
+/// this is [`analyze`]; for a callee, inlining stays off.
+///
+/// A callee's profile sums over its invocations, but its path pairs do not
+/// span them: the expansion statistics count the path successions within
+/// each call.
+///
+/// # Errors
+/// See [`AnalysisError`].
+pub fn analyze_hottest(
+    module: &Module,
+    entry: FuncId,
+    args: &[Constant],
+    memory: &Memory,
+    cfg: &NeedleConfig,
+) -> Result<Analysis, AnalysisError> {
+    // A first profiling pass picks the hottest function.
+    let mut paths = PathProfiler::new(module);
+    let mut mem = memory.clone();
+    Interp::new(module)
+        .with_max_steps(cfg.analysis.max_steps)
+        .with_cancel(cfg.cancel.clone())
+        .run_with(entry, args, &mut mem, &mut paths)?;
+    let ranking = needle_profile::rank::rank_functions(module, &paths);
+    let hottest = ranking.first().map(|(f, _)| *f).unwrap_or(entry);
+    if hottest == entry {
+        return analyze(module, entry, args, memory, cfg);
+    }
+    // Re-analyze with the hottest function as the focus. The driver still
+    // enters at `entry`; profiles of `hottest` accumulate across its
+    // invocations. Inlining must stay off — inlining the callee into the
+    // entry would erase the very invocations being profiled.
+    let mut cfg = cfg.clone();
+    cfg.analysis.inline = false;
+    analyze_at(module, entry, hottest, args, memory, &cfg)
+}
+
+/// Profile one run entered at `entry` and characterise `focus`: rank,
+/// Braids, statistics, expansion and the two baselines.
+fn analyze_at(
+    module: &Module,
+    entry: FuncId,
+    focus: FuncId,
+    args: &[Constant],
+    memory: &Memory,
+    cfg: &NeedleConfig,
+) -> Result<Analysis, AnalysisError> {
     let mut module = module.clone();
     let inlined_calls = if cfg.analysis.inline {
-        inline_all(&mut module, func, cfg.analysis.max_inline_insts)
+        inline_all(&mut module, entry, cfg.analysis.max_inline_insts)
     } else {
         0
     };
@@ -116,29 +169,26 @@ pub fn analyze(
     verify_module(&module).map_err(|(f, e)| AnalysisError::Verify(format!("{f:?}: {e}")))?;
 
     // Profile one run with both profilers attached.
-    let mut paths = PathProfiler::new(&module).with_trace();
+    let mut paths = PathProfiler::new(&module);
     let mut edges = EdgeProfiler::new();
     let mut mem = memory.clone();
-    {
-        let mut tee = TeeSink(&mut paths, &mut edges);
-        Interp::new(&module)
-            .with_max_steps(cfg.analysis.max_steps)
-            .with_cancel(cfg.cancel.clone())
-            .run_with(func, args, &mut mem, &mut tee)?;
-    }
+    Interp::new(&module)
+        .with_max_steps(cfg.analysis.max_steps)
+        .with_cancel(cfg.cancel.clone())
+        .run_with(entry, args, &mut mem, &mut TeeSink(&mut paths, &mut edges))?;
     let numbering = paths
-        .numbering(func)
+        .numbering(focus)
         .cloned()
         .ok_or(AnalysisError::Numbering(needle_profile::bl::BlError::TooManyPaths))?;
-    let path_profile = paths.profile(func);
-    let edge_profile = edges.profile(func);
+    let path_profile = paths.profile(focus);
+    let edge_profile = edges.profile(focus);
 
-    let f = module.func(func);
+    let f = module.func(focus);
     let rank = rank_paths(f, &numbering, &path_profile);
     let braids = build_braids(f, &rank, cfg.analysis.braid_merge_paths);
     let stats = control_flow_stats(f);
     let bias = bias_histogram(f, &edge_profile);
-    let expansion = expansion_stats(&rank, &path_profile.trace);
+    let expansion = expansion_stats(&rank, &path_profile);
 
     let seed = pick_seed(f, &edge_profile);
     let superblock = build_superblock(f, &edge_profile, seed);
@@ -150,7 +200,7 @@ pub fn analyze(
 
     Ok(Analysis {
         module,
-        func,
+        func: focus,
         inlined_calls,
         numbering,
         path_profile,
@@ -167,78 +217,6 @@ pub fn analyze(
         hyperblock_cold_fraction,
         seed,
     })
-}
-
-/// Profile `entry` and analyze the *hottest* function by weight
-/// (`Fwt = Σ Pwt`), which may be a callee of `entry` — the paper reports
-/// "the highest ranked function by weight". Inlining is applied at the
-/// selected function.
-///
-/// # Errors
-/// See [`AnalysisError`].
-pub fn analyze_hottest(
-    module: &Module,
-    entry: FuncId,
-    args: &[Constant],
-    memory: &Memory,
-    cfg: &NeedleConfig,
-) -> Result<Analysis, AnalysisError> {
-    // A first profiling pass picks the hottest function.
-    let mut paths = needle_profile::profiler::PathProfiler::new(module);
-    let mut mem = memory.clone();
-    Interp::new(module)
-        .with_max_steps(cfg.analysis.max_steps)
-        .with_cancel(cfg.cancel.clone())
-        .run_with(entry, args, &mut mem, &mut paths)?;
-    let ranking = needle_profile::rank::rank_functions(module, &paths);
-    let hottest = ranking.first().map(|(f, _)| *f).unwrap_or(entry);
-    if hottest == entry {
-        return analyze(module, entry, args, memory, cfg);
-    }
-    // Re-analyze with the hottest function as the focus. The driver still
-    // enters at `entry`; profiles of `hottest` accumulate across its
-    // invocations. Inlining must stay off — inlining the callee into the
-    // entry would erase the very invocations being profiled.
-    let mut cfg2 = cfg.clone();
-    cfg2.analysis.inline = false;
-    let cfg = &cfg2;
-    let mut a = analyze(module, entry, args, memory, cfg)?;
-    if let Ok(numbering) = needle_profile::bl::BlNumbering::new(a.module.func(hottest))
-    {
-        // Rebuild the per-function artifacts for the hottest function.
-        let mut paths = needle_profile::profiler::PathProfiler::new(&a.module).with_trace();
-        let mut edges = needle_profile::profiler::EdgeProfiler::new();
-        let mut mem = memory.clone();
-        {
-            let mut tee = needle_ir::interp::TeeSink(&mut paths, &mut edges);
-            Interp::new(&a.module)
-                .with_max_steps(cfg.analysis.max_steps)
-                .with_cancel(cfg.cancel.clone())
-                .run_with(entry, args, &mut mem, &mut tee)?;
-        }
-        let f = a.module.func(hottest);
-        let path_profile = paths.profile(hottest);
-        let edge_profile = edges.profile(hottest);
-        let rank = rank_paths(f, &numbering, &path_profile);
-        a.braids = build_braids(f, &rank, cfg.analysis.braid_merge_paths);
-        a.stats = control_flow_stats(f);
-        a.bias = bias_histogram(f, &edge_profile);
-        a.expansion = expansion_stats(&rank, &path_profile.trace);
-        a.seed = pick_seed(f, &edge_profile);
-        a.superblock = build_superblock(f, &edge_profile, a.seed);
-        a.superblock_feasible = superblock_is_feasible(&a.superblock, &rank);
-        a.superblock_hottest = superblock_is_hottest_path(&a.superblock, &rank);
-        a.hyperblock = build_hyperblock(f, a.seed, 256);
-        a.hyperblock_cold_fraction =
-            a.hyperblock
-                .cold_fraction(f, &edge_profile, cfg.analysis.cold_fraction);
-        a.func = hottest;
-        a.numbering = numbering;
-        a.path_profile = path_profile;
-        a.edge_profile = edge_profile;
-        a.rank = rank;
-    }
-    Ok(a)
 }
 
 /// Seed block for the Superblock/Hyperblock baselines: the hottest block

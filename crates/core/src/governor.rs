@@ -1,7 +1,7 @@
 //! Adaptive offload governor — epoch-driven region re-selection policy.
 //!
 //! The serving layer ([`crate::serve`]) samples requests through the
-//! streaming Ball-Larus profiler and, every epoch, asks this module what
+//! Ball-Larus path profiler and, every epoch, asks this module what
 //! the live offload region set should become. The policy here is *pure*:
 //! it consumes per-workload observations (ranked path candidates with
 //! cross-iteration stability, observed guard-failure/abort rates) plus
@@ -28,8 +28,8 @@ pub struct GovernorConfig {
     /// Close an epoch once this many requests have been accepted since
     /// the previous one.
     pub epoch_requests: u64,
-    /// Profile one request in `sample_period` through the streaming
-    /// profiler (1 = every request).
+    /// Profile one request in `sample_period` through the path profiler
+    /// (1 = every request).
     pub sample_period: u64,
     /// Halve the accumulated profile before merging each new epoch, so
     /// the ranking tracks traffic shifts instead of all-time totals.
@@ -43,7 +43,7 @@ pub struct GovernorConfig {
     /// promoted again (doubles with repeat demotions, capped at 16×).
     pub cooldown_epochs: u64,
     /// Minimum cross-loop-iteration stability
-    /// ([`needle_profile::EpochProfile::stability`]) for a path to be
+    /// ([`needle_profile::PathProfile::stability`]) for a path to be
     /// promoted.
     pub min_stability: f64,
     /// Minimum observed completions for a path to be promoted.

@@ -175,7 +175,7 @@ pub struct LoadgenConfig {
     pub deadline_us: u64,
     /// Virtual duration of each of the three phases, µs.
     pub phase_us: u64,
-    /// Every Nth request carries the streaming-profiler sampling cost.
+    /// Every Nth request carries the path-profiler sampling cost.
     pub sample_period: u64,
     /// Hardened (true) or baseline (false) service model for scenarios
     /// other than [`Scenario::RetryStorm`], which always runs both.
@@ -221,7 +221,7 @@ impl LoadgenConfig {
 }
 
 // Service-model constants (virtual-time cost model).
-/// Sampled requests carry the streaming-profiler overhead.
+/// Sampled requests carry the path-profiler overhead.
 const SAMPLE_FACTOR: f64 = 1.25;
 /// Frame offload speeds an offloadable request up…
 const OFFLOAD_FACTOR: f64 = 0.85;

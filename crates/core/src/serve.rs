@@ -66,8 +66,7 @@ use needle_ir::interp::{CancelToken, ExecError, Interp, Memory, NullSink, Val};
 use needle_ir::{Constant, FuncId, Module, Type, Value};
 use needle_profile::bl::BlNumbering;
 use needle_profile::{
-    build_numberings, control_flow_stats, rank_paths, EpochProfile, PathProfile,
-    SharedNumberings, StreamingProfiler,
+    build_numberings, control_flow_stats, rank_paths, PathProfile, PathProfiler, SharedNumberings,
 };
 use needle_regions::path::PathRegion;
 use needle_regions::region::OffloadRegion;
@@ -118,7 +117,7 @@ pub struct ServeConfig {
     /// `None` disables the leg.
     pub frame_workload: Option<String>,
     /// Adaptive offload governor. `Some` starts a governor thread that
-    /// samples requests through the streaming Ball-Larus profiler,
+    /// samples requests through the Ball-Larus path profiler,
     /// re-ranks paths every epoch, and hot-swaps the live region table
     /// (RCU-style — in-flight executions finish on the old epoch's
     /// frames) with breaker-informed demotion of aborting regions.
@@ -700,9 +699,9 @@ struct Inner {
     /// governor publishes a whole new [`RegionEpoch`] in one swap, so
     /// in-flight executions finish on the old epoch without draining.
     regions: Mutex<Arc<RegionEpoch>>,
-    /// Sampled streaming Ball-Larus epochs, merged by workers, drained by
-    /// the governor each epoch. Keyed by workload name.
-    profiles: Mutex<HashMap<String, EpochProfile>>,
+    /// Sampled Ball-Larus profiles, merged by workers, drained by the
+    /// governor each epoch. Keyed by workload name.
+    profiles: Mutex<HashMap<String, PathProfile>>,
     /// Per-workload offload observations (runs, aborts) since the last
     /// epoch drain — the breaker-adjacent feedback the re-ranker uses to
     /// demote aborting regions.
@@ -1302,25 +1301,24 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
             }
         }
 
-        // Sampled streaming profile: every Nth request runs with a
-        // Ball-Larus trace sink feeding the governor's epoch profile. A
-        // fresh profiler per sampled request keeps a cancelled or
-        // panicked run from leaking a half-built path into the stream.
+        // Sampled profile: every Nth request runs with a Ball-Larus
+        // trace sink feeding the governor's epoch profile. A fresh
+        // profiler per sampled request keeps a cancelled or panicked run
+        // from leaking a half-built path into the governor's profile.
         let adaptive = inner.cfg.adaptive.as_ref();
         let sampled = adaptive.is_some_and(|g| task.job.req.id % g.sample_period.max(1) == 0);
-        let mut profiler =
-            sampled.then(|| StreamingProfiler::with_numberings(entry.numberings.clone()));
+        let mut profiler = sampled.then(|| PathProfiler::with_numberings(entry.numberings.clone()));
 
         let (outcome, poisoned) =
             execute_engine(inner, wi, entry, interp, &task, frame_abort, profiler.as_mut());
 
         if let Some(mut p) = profiler.take() {
-            if let Some(epoch) = p.take_epoch().remove(&entry.func) {
-                if !epoch.is_empty() {
+            if let Some(sample) = p.take_profiles().remove(&entry.func) {
+                if !sample.is_empty() {
                     plock(&inner.profiles)
                         .entry(entry.name.clone())
                         .or_default()
-                        .merge(&epoch);
+                        .merge(&sample);
                 }
             }
         }
@@ -1371,7 +1369,7 @@ fn execute_engine(
     interp: &mut Interp<'_>,
     task: &Admitted<Job>,
     frame_abort: bool,
-    profiler: Option<&mut StreamingProfiler>,
+    profiler: Option<&mut PathProfiler>,
 ) -> (Outcome, bool) {
     interp.max_steps = task.job.fuel;
     interp.max_pages = task.job.max_pages;
@@ -1622,17 +1620,22 @@ fn build_frame_leg(name: &str) -> Result<Option<(Frame, u64, u128)>, NeedleError
 const STATS_WINDOW_EPOCHS: usize = 8;
 
 /// A workload the governor can re-select offload regions for: its
-/// resolved entry, the persistent Ball-Larus numbering, the decayed
-/// accumulator of drained streaming epochs, and the recent-epoch window
-/// of offload run/abort feedback.
+/// resolved entry (which also holds the function's Ball-Larus
+/// numbering), the decayed accumulator of drained sampled profiles, and
+/// the recent-epoch window of offload run/abort feedback.
 struct Governed {
     entry: Entry,
-    numbering: BlNumbering,
-    acc: EpochProfile,
+    acc: PathProfile,
     stats_window: VecDeque<RegionStat>,
 }
 
 impl Governed {
+    /// The governed function's Ball-Larus numbering. Only functions with
+    /// one are governed.
+    fn numbering(&self) -> &BlNumbering {
+        &self.entry.numberings[&self.entry.func]
+    }
+
     /// Push one epoch's drained feedback and return the *demotion view*
     /// of the window: the most recent run of epochs with the worst abort
     /// rate that still clears the `min_runs` evidence floor. A suffix,
@@ -1684,13 +1687,12 @@ fn governor_main(inner: &Arc<Inner>, stop: &AtomicBool) {
             let entry = resolve_workload(name)?;
             // Functions with an overflowing path space are never offload
             // candidates; leave them ungoverned.
-            let numbering = BlNumbering::new(entry.module.func(entry.func)).ok()?;
+            entry.numberings.get(&entry.func)?;
             Some((
                 name.clone(),
                 Governed {
                     entry,
-                    numbering,
-                    acc: EpochProfile::default(),
+                    acc: PathProfile::default(),
                     stats_window: VecDeque::new(),
                 },
             ))
@@ -1758,7 +1760,7 @@ fn run_epoch(
     cfg: &GovernorConfig,
     epoch: u64,
     governed: &mut [(String, Governed)],
-    mut drained: HashMap<String, EpochProfile>,
+    mut drained: HashMap<String, PathProfile>,
     stats: &HashMap<String, RegionStat>,
     ledger: &mut DemotionLedger,
     miscompile_armed: &mut bool,
@@ -1770,10 +1772,8 @@ fn run_epoch(
         let Some(epoch_profile) = drained.remove(name) else {
             continue;
         };
-        let in_range = epoch_profile
-            .counts
-            .iter()
-            .all(|(id, _)| id < g.numbering.num_paths());
+        let num_paths = g.numbering().num_paths();
+        let in_range = epoch_profile.counts.iter().all(|(id, _)| id < num_paths);
         let consistent = epoch_profile.counts.total() == epoch_profile.completed;
         if !in_range || !consistent {
             let mut gs = plock(&inner.governor_stats);
@@ -1807,12 +1807,8 @@ fn run_epoch(
         if g.acc.is_empty() && stat.runs == 0 {
             continue;
         }
-        let profile = PathProfile {
-            counts: g.acc.counts.clone(),
-            trace: vec![],
-        };
         let func = g.entry.module.func(g.entry.func);
-        let rank = rank_paths(func, &g.numbering, &profile);
+        let rank = rank_paths(func, g.numbering(), &g.acc);
         let candidates: Vec<PathCandidate> = rank
             .paths
             .iter()
@@ -1995,7 +1991,7 @@ fn build_and_verify(
     let build_err = |detail: String| refuse(EventKind::BuildFailed, detail);
     let func = g.entry.module.func(g.entry.func);
     let blocks = g
-        .numbering
+        .numbering()
         .decode(path_id)
         .map_err(|e| build_err(format!("decode: {e:?}")))?;
     let freq = g.acc.counts.get(path_id);
@@ -2656,8 +2652,8 @@ fn pump_stage(
 /// the governor under live traffic.
 ///
 /// 1. **Promote** — `svc.phase` traffic with a fat-arm-hot threshold;
-///    the governor must observe it through the sampled streaming
-///    profiler and hot-swap its top path in.
+///    the governor must observe it through the sampled path profiler
+///    and hot-swap its top path in.
 /// 2. **Flip** — the per-request bias knob moves the hot arm; the
 ///    governor must *re-select* live, displacing the installed region
 ///    past the switch margin without draining the service.

@@ -1,13 +1,15 @@
 //! BL-path target expansion across loop back edges (§IV-A, Table III).
 //!
 //! BL-paths are acyclic; to enlarge offload units across loop iterations,
-//! Needle inspects the *path trace* (the sequence of completed path ids)
-//! and measures how predictable the successor of the hottest path is. A
-//! strongly-biased successor lets the compiler sequence two (or more) path
-//! bodies into one offload unit.
+//! Needle measures how predictable the successor of the hottest path is.
+//! The profile's `(prev, next)` pair counts (paths completed back to back
+//! within one invocation) give that statistic directly. A strongly-biased
+//! successor lets the compiler sequence two (or more) path bodies into one
+//! offload unit.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
+use needle_profile::profiler::PathProfile;
 use needle_profile::rank::FunctionRank;
 
 /// Next-path predictability of the hottest path (one Table III row).
@@ -25,31 +27,24 @@ pub struct ExpansionStats {
     /// Static ops of the expanded unit (top + successor) relative to the
     /// top path alone — the "+Ops" column (2.0 when the same path repeats).
     pub ops_growth: f64,
-    /// Occurrences of the top path observed in the trace.
+    /// Occurrences of the top path followed by another path in the same
+    /// invocation.
     pub occurrences: u64,
 }
 
-/// Compute next-path expansion statistics from a path trace.
+/// Compute next-path expansion statistics from a profile's path pairs.
 ///
-/// Returns `None` when the trace contains fewer than two completed paths or
-/// the hottest path never appears in a non-terminal position.
-pub fn expansion_stats(rank: &FunctionRank, trace: &[u64]) -> Option<ExpansionStats> {
+/// Returns `None` when the hottest path is never followed by another path
+/// within one invocation (no pair starts with it).
+pub fn expansion_stats(rank: &FunctionRank, profile: &PathProfile) -> Option<ExpansionStats> {
     let top = rank.top()?;
-    let mut successors: HashMap<u64, u64> = HashMap::new();
-    let mut occurrences = 0u64;
-    for w in trace.windows(2) {
-        if w[0] == top.id {
-            occurrences += 1;
-            *successors.entry(w[1]).or_insert(0) += 1;
-        }
-    }
-    if occurrences == 0 {
-        return None;
-    }
-    let (&next_path, &cnt) = successors
+    let successors = profile
+        .pairs
         .iter()
-        .max_by_key(|(id, c)| (**c, std::cmp::Reverse(**id)))
-        .expect("occurrences > 0 implies a successor");
+        .filter(|((prev, _), _)| *prev == top.id)
+        .map(|((_, next), n)| (*next, *n));
+    let occurrences: u64 = successors.clone().map(|(_, n)| n).sum();
+    let (next_path, cnt) = successors.max_by_key(|(id, n)| (*n, Reverse(*id)))?;
     let next_ops = rank
         .paths
         .iter()
@@ -116,7 +111,7 @@ mod tests {
         f.inst_mut(i_id).phi_blocks.push(body);
         let mut m = Module::new("t");
         let fid = m.push(f);
-        let mut prof = PathProfiler::new(&m).with_trace();
+        let mut prof = PathProfiler::new(&m);
         let mut mem = Memory::new();
         Interp::new(&m)
             .run(fid, &[Constant::Int(n)], &mut mem, &mut prof)
@@ -129,7 +124,7 @@ mod tests {
         let (m, fid, prof) = monotone_loop(50);
         let p = prof.profile(fid);
         let rank = rank_paths(m.func(fid), prof.numbering(fid).unwrap(), &p);
-        let s = expansion_stats(&rank, &p.trace).unwrap();
+        let s = expansion_stats(&rank, &p).unwrap();
         assert!(s.repeats_self);
         assert!(s.seq_bias > 0.9, "bias {}", s.seq_bias);
         assert!((s.ops_growth - 2.0).abs() < 1e-9);
@@ -147,13 +142,21 @@ mod tests {
 
     #[test]
     fn short_traces_yield_none() {
+        // Zero trips: one completed path, so no pair and no successor.
+        let (m, fid, prof) = monotone_loop(0);
+        let p = prof.profile(fid);
+        assert_eq!(p.total(), 1);
+        assert!(p.pairs.is_empty());
+        let rank = rank_paths(m.func(fid), prof.numbering(fid).unwrap(), &p);
+        assert!(rank.top().is_some());
+        assert!(expansion_stats(&rank, &p).is_none());
+        // A profile with no pairs gives `None` whatever the ranking.
         let (m, fid, prof) = monotone_loop(50);
         let rank = rank_paths(
             m.func(fid),
             prof.numbering(fid).unwrap(),
             &prof.profile(fid),
         );
-        assert!(expansion_stats(&rank, &[]).is_none());
-        assert!(expansion_stats(&rank, &[123]).is_none());
+        assert!(expansion_stats(&rank, &PathProfile::default()).is_none());
     }
 }

@@ -17,7 +17,7 @@
 //! * [`path_tree`] — the DySER path-tree comparison point: same-entry
 //!   merging with multi-exit live-out overhead (§IV-B);
 //! * [`expansion`] — next-path target expansion across loop back edges from
-//!   path traces (§IV-A, Table III).
+//!   the profile's path pairs (§IV-A, Table III).
 
 pub mod braid;
 pub mod expansion;

@@ -114,7 +114,7 @@ fn sinks_are_pure_observers() {
                 .unwrap()
         };
         let observed = {
-            let mut paths = PathProfiler::new(&w.module).with_trace();
+            let mut paths = PathProfiler::new(&w.module);
             let mut edges = EdgeProfiler::new();
             let mut mem = w.memory.clone();
             let mut tee = TeeSink(&mut paths, &mut edges);

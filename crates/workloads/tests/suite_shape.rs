@@ -1,7 +1,11 @@
 //! Suite-shape tests: the generated workloads must carry the control-flow
 //! fingerprints their Table II rows were tuned for.
 
-use needle_ir::interp::{BlockCountSink, Interp, TeeSink};
+use needle_ir::cfg::Cfg;
+use needle_ir::dom::DomTree;
+use needle_ir::interp::{Interp, TraceSink};
+use needle_ir::loops::LoopForest;
+use needle_ir::{BlockId, FuncId};
 use needle_profile::profiler::PathProfiler;
 use needle_profile::rank::rank_paths;
 use needle_workloads::{by_name, specs, BiasKind};
@@ -103,6 +107,28 @@ fn branch_counts_match_spec_table() {
     }
 }
 
+/// Records the block sequence of one function, split into loop iterations
+/// at each entry to the loop header.
+struct IterationSink {
+    func: FuncId,
+    header: BlockId,
+    iterations: Vec<Vec<BlockId>>,
+}
+
+impl TraceSink for IterationSink {
+    fn block(&mut self, func: FuncId, bb: BlockId) {
+        if func != self.func {
+            return;
+        }
+        if bb == self.header {
+            self.iterations.push(Vec::new());
+        }
+        if let Some(it) = self.iterations.last_mut() {
+            it.push(bb);
+        }
+    }
+}
+
 #[test]
 fn induction_workloads_are_perfectly_periodic() {
     let w = by_name("fft-2d").unwrap();
@@ -110,19 +136,26 @@ fn induction_workloads_are_perfectly_periodic() {
     let BiasKind::InductionMod(m) = spec.bias else {
         panic!("fft-2d is induction-steered");
     };
-    let mut prof = PathProfiler::new(&w.module).with_trace();
-    let mut counts = BlockCountSink::default();
+    let cfg = Cfg::new(w.module.func(w.func));
+    let forest = LoopForest::new(&cfg, &DomTree::new(&cfg));
+    let mut sink = IterationSink {
+        func: w.func,
+        header: forest.loops[0].header,
+        iterations: Vec::new(),
+    };
     let mut mem = w.memory.clone();
-    {
-        let mut tee = TeeSink(&mut prof, &mut counts);
-        Interp::new(&w.module)
-            .run(w.func, &w.args, &mut mem, &mut tee)
-            .unwrap();
-    }
-    // The path trace repeats with period m (after the first iteration).
-    let trace = prof.profile(w.func).trace;
+    Interp::new(&w.module)
+        .run(w.func, &w.args, &mut mem, &mut sink)
+        .unwrap();
+    // The block sequence repeats every m loop iterations, and no shorter
+    // period fits.
+    let iters = &sink.iterations;
     let m = m as usize;
-    for k in 1..(trace.len() - m - 1).min(600) {
-        assert_eq!(trace[k], trace[k + m], "trace periodic with period {m}");
+    assert!(iters.len() > 600, "{} iterations", iters.len());
+    for k in 0..(iters.len() - m - 1).min(600) {
+        assert_eq!(iters[k], iters[k + m], "iteration {k}: period {m}");
+    }
+    for d in 1..m {
+        assert!((0..m).any(|k| iters[k] != iters[k + d]), "period {d}");
     }
 }
