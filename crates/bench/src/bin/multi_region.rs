@@ -9,7 +9,7 @@
 
 use std::fmt::Write;
 
-use needle::{simulate_multi_offload, NeedleConfig, RegionSpec};
+use needle::{simulate_offload_with, NeedleConfig, PredictorKind, RegionSpec};
 use needle_bench::emit;
 use needle_ir::builder::FunctionBuilder;
 use needle_ir::interp::{Interp, Memory};
@@ -120,16 +120,18 @@ fn main() {
         let kb = FuncId(1);
         let ra = top_braid(&module, driver, ka, &memory, total);
         let rb = top_braid(&module, driver, kb, &memory, total);
-        let r = simulate_multi_offload(
+        // The oracle isolates switching cost from misprediction.
+        let r = simulate_offload_with(
             &module,
             driver,
             &[Constant::Int(total)],
             &memory,
             &[ra, rb],
+            PredictorKind::Oracle,
             &cfg,
+            None,
         )
-        .expect("multi offload");
-        let commits: u64 = r.per_region.iter().map(|(c, _)| *c).sum();
+        .expect("multi-region offload");
         let _ = writeln!(
             out,
             "{:>8} {:>12} {:>10.1} {:>10.1} {:>10}",
@@ -137,7 +139,7 @@ fn main() {
             r.reconfigurations,
             r.perf_improvement_pct(),
             r.energy_reduction_pct(),
-            commits
+            r.commits
         );
     }
     let _ = writeln!(

@@ -8,18 +8,20 @@
 //!   * **frame** — the full offload simulation (host run + frame
 //!     invocations) on a few representative workloads.
 //!
-//! Writes `results/BENCH_interp.json`. With `--check`, compares the
-//! measured engine-vs-walker speedup ratios (machine-independent, both
-//! sides run on the same box) against `crates/bench/perf_baseline.json`
-//! and exits non-zero when a ratio drops below 70% of its baseline.
-//! `--quick` shrinks the measurement windows for local smoke runs.
+//! `--out PATH` writes the JSON report (the CI `perf-smoke` job writes
+//! `results/BENCH_interp.json`); without it nothing is written. With
+//! `--check`, compares the measured engine-vs-walker speedup ratios
+//! (machine-independent, both sides run on the same box) against
+//! `crates/bench/perf_baseline.json` and exits non-zero when a ratio
+//! drops below 70% of its baseline. `--quick` shrinks the measurement
+//! windows for local smoke runs.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::time::{Duration, Instant};
 
 use needle::{simulate_offload, NeedleConfig, PredictorKind};
-use needle_bench::{geomean, results_dir, Prepared};
+use needle_bench::{geomean, Prepared};
 use needle_ir::interp::{Interp, NullSink};
 use needle_profile::profiler::PathProfiler;
 
@@ -162,6 +164,10 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1));
     let quick = args.iter().any(|a| a == "--quick");
     let window = if quick {
         Duration::from_millis(20)
@@ -257,11 +263,10 @@ fn main() {
     let _ = writeln!(j, "  ]");
     let _ = writeln!(j, "}}");
 
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results dir");
-    let out = dir.join("BENCH_interp.json");
-    fs::write(&out, &j).expect("write BENCH_interp.json");
-    println!("\nwrote {}", out.display());
+    if let Some(out) = out {
+        fs::write(out, &j).unwrap_or_else(|e| panic!("write {out}: {e}"));
+        println!("\nwrote {out}");
+    }
 
     if check {
         let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/perf_baseline.json");

@@ -10,7 +10,7 @@ fn main() {
     let cfg = NeedleConfig::default();
     let all = prepare_all(&cfg);
     let mut out = String::new();
-    let _ = writeln!(out, "Table III: next-path target expansion (path-trace sequencing)");
+    let _ = writeln!(out, "Table III: next-path target expansion (within-invocation path pairs)");
     let _ = writeln!(
         out,
         "{:<20} {:>9} {:>8} {:>8} {:>9}",

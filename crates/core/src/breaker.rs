@@ -31,7 +31,7 @@ pub enum Admission {
     /// *must* report the outcome via [`CircuitBreaker::on_success`] /
     /// [`CircuitBreaker::on_failure`] or the breaker wedges half-open.
     Probe,
-    /// Breaker open: shed (fast-fail or fall back).
+    /// Breaker open: shed (the caller falls back to a degraded path).
     Shed,
 }
 

@@ -29,7 +29,7 @@ use needle_regions::OffloadRegion;
 use crate::analysis::analyze;
 use crate::config::NeedleConfig;
 use crate::error::NeedleError;
-use crate::offload::{simulate_offload_with, OffloadReport, PredictorKind};
+use crate::offload::{simulate_offload_with, OffloadReport, PredictorKind, RegionSpec};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -183,7 +183,7 @@ impl std::fmt::Display for ChaosReport {
 }
 
 /// A deterministic live-in value of the given type.
-fn draw_live_in(rng: &mut StdRng, ty: Type) -> Val {
+pub(crate) fn draw_live_in(rng: &mut StdRng, ty: Type) -> Val {
     match ty {
         Type::I1 => Val::Int(rng.gen_range(0i64..2)),
         Type::I64 => Val::Int(rng.gen_range(-64i64..64)),
@@ -389,7 +389,10 @@ pub fn storm_scenario(
         a.func,
         &w.args,
         &w.memory,
-        &region,
+        &[RegionSpec {
+            func: a.func,
+            region,
+        }],
         PredictorKind::Oracle,
         cfg,
         Some(&mut injector),

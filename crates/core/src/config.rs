@@ -137,8 +137,9 @@ pub struct AnalysisConfig {
     pub max_inline_insts: usize,
     /// Run the [`needle_opt`] mid-end (const-fold, CSE, DCE, CFG
     /// simplification, LICM) after inlining and before profiling. Off by
-    /// default: the synthetic suite is generated in already-optimized
-    /// shape; enable for hand-built or parsed IR.
+    /// default, and nothing in the CLI, the bench binaries or the
+    /// benchmark turns it on; turning it on changes 17 of the 22 paper
+    /// tables (ROADMAP item 3).
     pub optimize: bool,
     /// How many top-ranked paths feed Braid construction.
     pub braid_merge_paths: usize,

@@ -4,7 +4,7 @@
 //! construction, frame optimisation, interpretation, speculative frame
 //! execution, differential verification — reports a typed error instead
 //! of panicking, and [`NeedleError`] is the top-level sum the pipeline
-//! entry points (`simulate_offload`, `simulate_multi_offload`,
+//! entry points (`simulate_offload`, `simulate_offload_with`,
 //! `run_campaign`) return. Callers that want graceful degradation (the
 //! CLI, the chaos campaign) match on the variant: a
 //! [`NeedleError::Frame`] on one region means "fall back to the host for

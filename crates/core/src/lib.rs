@@ -10,9 +10,10 @@
 //! 2. **Frame** ([`needle_frames`]): lower the chosen BL-path or Braid into
 //!    a software frame with guards and an undo log ("Step 2").
 //! 3. **Offload** ([`offload`]): co-simulate the host OOO core with the
-//!    CGRA running the frame — oracle or history-predictor invocation,
-//!    guard-failure rollback with host re-execution — and report the
-//!    performance and energy deltas of Figures 9 and 10 ("Step 3").
+//!    CGRA running one or more frames — oracle or history-predictor
+//!    invocation, guard-failure rollback with host re-execution,
+//!    reconfiguration when control switches between regions — and report
+//!    the performance and energy deltas of Figures 9 and 10 ("Step 3").
 //! 4. **Chaos** ([`chaos`]): seeded fault-injection campaigns that attack
 //!    the speculation invariant (abort atomicity, commit equivalence) and
 //!    differentially verify every invocation; the offload layer degrades
@@ -50,7 +51,6 @@ pub mod fuzz;
 pub mod governor;
 pub mod journal;
 pub mod loadgen;
-pub mod multi;
 pub mod offload;
 pub mod overload;
 pub mod report;
@@ -86,7 +86,6 @@ pub use supervisor::{
     peek_journal, run_supervised, CampaignOptions, CampaignReport, CampaignUnit, UnitKind,
     UnitOutcome, UnitPayload, UnitReport,
 };
-pub use multi::{simulate_multi_offload, MultiOffloadReport, RegionSpec};
 pub use serve::{
     run_adaptive_soak, run_soak, AdaptiveSoakConfig, FailReason, FuncStatRow, InjectedFault,
     MetricsSnapshot, Outcome, Request, Response, ServeConfig, Service, ShedReason, SoakConfig,
@@ -96,4 +95,6 @@ pub use shard::{
     audit_ledger, run_shard_soak, LedgerAudit, RouterMetrics, ShardRow, ShardSoakConfig,
     ShardSoakReport, ShardServeConfig, ShardedMetrics, ShardedService,
 };
-pub use offload::{simulate_offload, simulate_offload_with, OffloadReport, PredictorKind};
+pub use offload::{
+    simulate_offload, simulate_offload_with, OffloadReport, PredictorKind, RegionSpec,
+};

@@ -299,8 +299,7 @@ impl<J> ServiceCore<J> {
                     FailReason::Panicked => m.panics += 1,
                     FailReason::MemLimit => m.mem_limits += 1,
                     FailReason::StepLimit => m.step_limits += 1,
-                    FailReason::BreakerOpen
-                    | FailReason::UnknownWorkload
+                    FailReason::UnknownWorkload
                     | FailReason::ShardLost
                     | FailReason::Exec(_) => {}
                 }

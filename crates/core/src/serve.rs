@@ -29,9 +29,9 @@
 //! * **Per-function circuit breakers** — repeated panics, deadline
 //!   cancellations, fuel/memory exhaustions on one function trip that
 //!   function's [`CircuitBreaker`] (the same trip/cooldown/probe machine
-//!   as the offload abort-storm detector). While open, requests either
-//!   fast-fail ([`FailReason::BreakerOpen`]) or fall back to the
-//!   reference walker; probed recovery closes the breaker again.
+//!   as the offload abort-storm detector). While open, requests fall
+//!   back to the reference walker; probed recovery closes the breaker
+//!   again.
 //! * **Cooperative cancellation** — every execution runs under a fresh
 //!   [`CancelToken`]; a watchdog cancels tokens past their deadline and
 //!   the engine stops within its check interval with a typed
@@ -74,6 +74,7 @@ use needle_regions::region::OffloadRegion;
 use crate::analysis::analyze;
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::certify::{CertStats, VerifyPolicy};
+use crate::chaos::draw_live_in;
 use crate::config::{AnalysisConfig, NeedleConfig, StormConfig};
 use crate::error::NeedleError;
 use crate::governor::{
@@ -104,9 +105,6 @@ pub struct ServeConfig {
     /// Per-function breaker policy (shared semantics with the offload
     /// abort-storm detector).
     pub breaker: StormConfig,
-    /// While a breaker is open, run the request on the reference walker
-    /// instead of fast-failing.
-    pub breaker_fallback: bool,
     /// How long shutdown waits for in-flight work before cancelling it,
     /// milliseconds.
     pub drain_ms: u64,
@@ -139,7 +137,6 @@ impl Default for ServeConfig {
             default_deadline_ms: 1_000,
             cancel_interval: 256,
             breaker: StormConfig::default(),
-            breaker_fallback: true,
             drain_ms: 2_000,
             catalog: vec![
                 "svc.sum".into(),
@@ -255,8 +252,6 @@ pub enum FailReason {
     MemLimit,
     /// The step budget ran out.
     StepLimit,
-    /// The function's circuit breaker is open and fallback is disabled.
-    BreakerOpen,
     /// The workload is not in the service catalog.
     UnknownWorkload,
     /// The owning shard died and failover exhausted its bounded retry
@@ -273,7 +268,6 @@ impl std::fmt::Display for FailReason {
             FailReason::Cancelled => write!(f, "cancelled at deadline"),
             FailReason::MemLimit => write!(f, "memory limit"),
             FailReason::StepLimit => write!(f, "step limit"),
-            FailReason::BreakerOpen => write!(f, "circuit breaker open"),
             FailReason::UnknownWorkload => write!(f, "unknown workload"),
             FailReason::ShardLost => write!(f, "shard lost, failover exhausted"),
             FailReason::Exec(e) => write!(f, "execution error: {e}"),
@@ -416,10 +410,9 @@ pub struct MetricsSnapshot {
     pub mem_limits: u64,
     /// Failures that were fuel exhaustions.
     pub step_limits: u64,
-    /// Requests fast-failed or fallback-executed because a breaker was
-    /// open.
+    /// Requests sent to the reference walker because a breaker was open.
     pub breaker_shed: u64,
-    /// Of those, how many ran on the reference walker.
+    /// Of those, how many completed there.
     pub fallbacks: u64,
     /// Frame invocations that aborted (injected guard failures).
     pub frame_aborts: u64,
@@ -644,8 +637,8 @@ struct Inflight {
 struct State {
     core: ServiceCore<Job>,
     breakers: HashMap<String, CircuitBreaker>,
-    /// Requests fast-failed or fallback-executed because a breaker was
-    /// open (counted at the breaker gate).
+    /// Requests sent to the reference walker because a breaker was open
+    /// (counted at the breaker gate).
     breaker_shed: u64,
     /// Worker recycles after a poisoned execution.
     recycles: u64,
@@ -1271,17 +1264,13 @@ fn worker_serve(inner: &Arc<Inner>, wi: usize) -> bool {
 
         // Per-function breaker gate, decided at the pop.
         if popped.gate == Some(Admission::Shed) {
-            if inner.cfg.breaker_fallback {
-                // Degraded leg: the reference walker, same budgets, same
-                // cancellation. Its outcome does NOT feed the breaker —
-                // probes are the only recovery signal.
-                let (outcome, poisoned) = execute_walker(inner, wi, entry, &task);
-                finish(inner, task, outcome, false);
-                if poisoned {
-                    return true;
-                }
-            } else {
-                finish(inner, task, Outcome::Failed(FailReason::BreakerOpen), false);
+            // Degraded leg: the reference walker, same budgets, same
+            // cancellation. Its outcome does NOT feed the breaker —
+            // probes are the only recovery signal.
+            let (outcome, poisoned) = execute_walker(inner, wi, entry, &task);
+            finish(inner, task, outcome, false);
+            if poisoned {
+                return true;
             }
             continue;
         }
@@ -1476,17 +1465,6 @@ fn run_frame_abort(frame: &Frame, base_mem: &Memory, id: u64) -> bool {
     match run_frame_with(frame, &live_ins, &mut mem, Some(&mut injector)) {
         Ok(o) => !o.committed(),
         Err(_) => false,
-    }
-}
-
-/// A deterministic live-in value of the given type (mirrors the chaos
-/// campaign's draw).
-fn draw_live_in(rng: &mut StdRng, ty: Type) -> Val {
-    match ty {
-        Type::I1 => Val::Int(rng.gen_range(0i64..2)),
-        Type::I64 => Val::Int(rng.gen_range(-64i64..64)),
-        Type::F64 => Val::Float(rng.gen_range(-512i64..512) as f64 * 0.125),
-        Type::Ptr => Val::Int(rng.gen_range(0i64..64) * 8),
     }
 }
 
@@ -2439,7 +2417,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
             }
         }
         // Phase 2: sequential clean requests ride the open breaker
-        // through its cooldown (fallback or fast-fail), then the probe
+        // through its cooldown on the reference walker, then the probe
         // executes clean and recovers it.
         for _ in 0..cfg.serve.breaker.cooldown + 2 {
             let req = Request::new(ledger.next_id(), "svc.flaky");
