@@ -19,8 +19,9 @@ use needle_profile::rank::rank_paths;
 use needle_regions::braid::build_braids;
 
 /// Merge two generated kernels into one module and add a driver.
-/// `alternate` switches kernels every `chunk` iterations.
-fn build(chunk: i64, total: i64) -> (Module, FuncId, Memory) {
+/// `driver(n)` runs `n / chunk` chunks of `chunk` kernel iterations each:
+/// kernel A on even chunks, kernel B on odd ones.
+fn build(chunk: i64) -> (Module, FuncId, Memory) {
     let wa = needle_workloads::by_name("179.art").unwrap();
     let wb = needle_workloads::by_name("464.h264ref").unwrap();
     let mut module = Module::new("two_kernels");
@@ -31,8 +32,8 @@ fn build(chunk: i64, total: i64) -> (Module, FuncId, Memory) {
     let mut fb = FunctionBuilder::new("driver", &[Type::I64], Some(Type::I64));
     let entry = fb.entry();
     let head = fb.block("head");
-    let do_a = fb.block("do_a");
-    let do_b = fb.block("do_b");
+    let parity = fb.block("parity");
+    let run_a = fb.block("run_a");
     let latch = fb.block("latch");
     let exit = fb.block("exit");
     fb.switch_to(entry);
@@ -41,12 +42,12 @@ fn build(chunk: i64, total: i64) -> (Module, FuncId, Memory) {
     let c = fb.phi(Type::I64, &[(entry, Value::int(0))]);
     let lim = fb.div(fb.arg(0), Value::int(chunk));
     let cont = fb.icmp_slt(c, lim);
-    fb.cond_br(cont, do_a, exit);
-    fb.switch_to(do_a);
+    fb.cond_br(cont, parity, exit);
+    fb.switch_to(parity);
     let par = fb.rem(c, Value::int(2));
     let even = fb.icmp_eq(par, Value::int(0));
-    fb.cond_br(even, do_b, latch);
-    fb.switch_to(do_b);
+    fb.cond_br(even, run_a, latch);
+    fb.switch_to(run_a);
     fb.call(ka, Type::I64, &[Value::int(chunk)]);
     fb.br(latch);
     fb.switch_to(latch);
@@ -66,9 +67,7 @@ fn build(chunk: i64, total: i64) -> (Module, FuncId, Memory) {
     let mut f = fb.finish();
     let c_id = c.as_inst().unwrap();
     f.inst_mut(c_id).args.push(c2);
-    f.inst_mut(c_id)
-        .phi_blocks
-        .push(needle_ir::BlockId(7)); // step block
+    f.inst_mut(c_id).phi_blocks.push(step);
     let driver = module.push(f);
 
     // Shared memory image: kernel A's data plus kernel B's thresholds live
@@ -82,7 +81,6 @@ fn build(chunk: i64, total: i64) -> (Module, FuncId, Memory) {
             memory.store(addr, needle_ir::interp::Val::Int(b as i64));
         }
     }
-    let _ = total;
     (module, driver, memory)
 }
 
@@ -115,7 +113,7 @@ fn main() {
         "chunk", "reconfigs", "perf%", "energy%", "commits"
     );
     for chunk in [1i64, 4, 16, 100, 2000] {
-        let (module, driver, memory) = build(chunk, total);
+        let (module, driver, memory) = build(chunk);
         let ka = FuncId(0);
         let kb = FuncId(1);
         let ra = top_braid(&module, driver, ka, &memory, total);

@@ -1,20 +1,23 @@
-//! `perf_smoke` — interpreter performance-regression harness.
+//! `perf_smoke` — interpreter and host-model performance-regression harness.
 //!
 //! Times the reference tree walker against the pre-decoded engine over the
-//! whole workload suite on three paths:
+//! whole workload suite on four paths:
 //!
 //!   * **null** — `NullSink`, pure interpretation throughput;
 //!   * **profile** — `PathProfiler` attached, the analysis hot path;
-//!   * **frame** — the full offload simulation (host run + frame
+//!   * **host** — the engine driving the host timing model (`HostSim`),
+//!     reported as `host_over_null`: suite time with the model attached
+//!     over suite time with `NullSink`;
+//!   * **frame** — whole offload simulations (host runs + frame
 //!     invocations) on a few representative workloads.
 //!
 //! `--out PATH` writes the JSON report (the CI `perf-smoke` job writes
 //! `results/BENCH_interp.json`); without it nothing is written. With
-//! `--check`, compares the measured engine-vs-walker speedup ratios
-//! (machine-independent, both sides run on the same box) against
-//! `crates/bench/perf_baseline.json` and exits non-zero when a ratio
-//! drops below 70% of its baseline. `--quick` shrinks the measurement
-//! windows for local smoke runs.
+//! `--check`, compares the measured ratios (machine-independent, both
+//! sides run on the same box) against `crates/bench/perf_baseline.json`
+//! and exits non-zero when an engine-vs-walker speedup drops below 70% of
+//! its baseline or `host_over_null` rises above its baseline divided by
+//! 0.7. `--quick` shrinks the measurement windows for local smoke runs.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -22,13 +25,15 @@ use std::time::{Duration, Instant};
 
 use needle::{simulate_offload, NeedleConfig, PredictorKind};
 use needle_bench::{geomean, Prepared};
+use needle_host::{HostConfig, HostSim};
 use needle_ir::interp::{Interp, NullSink};
 use needle_profile::profiler::PathProfiler;
 
 /// Workloads whose offload pipeline the frame phase times end to end.
 const FRAME_WORKLOADS: &[&str] = &["164.gzip", "401.bzip2", "470.lbm"];
 
-/// Regression gate: fail `--check` below `baseline * MIN_RATIO`.
+/// Regression gate: fail `--check` when a speedup falls below
+/// `baseline * MIN_RATIO` or a slowdown rises above `baseline / MIN_RATIO`.
 const MIN_RATIO: f64 = 0.7;
 
 /// One workload's measurements (times in seconds, per single run).
@@ -40,6 +45,8 @@ struct Row {
     eng_null: f64,
     ref_prof: f64,
     eng_prof: f64,
+    /// The engine driving `HostSim` (built and finished inside the timing).
+    eng_host: f64,
 }
 
 impl Row {
@@ -48,6 +55,9 @@ impl Row {
     }
     fn speedup_prof(&self) -> f64 {
         self.ref_prof / self.eng_prof
+    }
+    fn host_over_null(&self) -> f64 {
+        self.eng_host / self.eng_null
     }
 }
 
@@ -104,6 +114,14 @@ fn measure_suite(window: Duration) -> Vec<Row> {
                     .run_reference(w.func, &w.args, &mut mem, &mut prof)
                     .unwrap();
             });
+            let eng_host = time_one(window, || {
+                let mut mem = w.memory.clone();
+                let mut host = HostSim::new(&w.module, HostConfig::default());
+                interp
+                    .run_with(w.func, &w.args, &mut mem, &mut host)
+                    .unwrap();
+                host.finish();
+            });
             Row {
                 name: w.name.clone(),
                 ops,
@@ -111,13 +129,14 @@ fn measure_suite(window: Duration) -> Vec<Row> {
                 eng_null,
                 ref_prof,
                 eng_prof,
+                eng_host,
             }
         })
         .collect()
 }
 
-/// Time the offload simulation (host interpretation + frame invocations)
-/// of the top braid under the history predictor.
+/// Time one whole offload simulation (host interpretation + every frame
+/// invocation) of the top braid under the history predictor.
 fn measure_frames(window: Duration) -> Vec<(&'static str, f64)> {
     let cfg = NeedleConfig::default();
     FRAME_WORKLOADS
@@ -190,14 +209,17 @@ fn main() {
     let speedup_prof = eng_prof / ref_prof;
     let geo_null = geomean(rows.iter().map(Row::speedup_null));
     let geo_prof = geomean(rows.iter().map(Row::speedup_prof));
+    let host_over_null = rows.iter().map(|r| r.eng_host).sum::<f64>()
+        / rows.iter().map(|r| r.eng_null).sum::<f64>();
 
     println!(
-        "{:<16} {:>12} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8}",
-        "workload", "ops", "ref Mops", "eng Mops", "null x", "refP Mops", "engP Mops", "prof x"
+        "{:<16} {:>12} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8} {:>9}",
+        "workload", "ops", "ref Mops", "eng Mops", "null x", "refP Mops", "engP Mops", "prof x",
+        "host/null"
     );
     for r in &rows {
         println!(
-            "{:<16} {:>12} {:>10.1} {:>10.1} {:>8.2} {:>10.1} {:>10.1} {:>8.2}",
+            "{:<16} {:>12} {:>10.1} {:>10.1} {:>8.2} {:>10.1} {:>10.1} {:>8.2} {:>9.2}",
             r.name,
             r.ops,
             r.ops as f64 / r.ref_null / 1e6,
@@ -206,6 +228,7 @@ fn main() {
             r.ops as f64 / r.ref_prof / 1e6,
             r.ops as f64 / r.eng_prof / 1e6,
             r.speedup_prof(),
+            r.host_over_null(),
         );
     }
     println!(
@@ -216,8 +239,9 @@ fn main() {
         ref_prof / 1e6,
         eng_prof / 1e6,
     );
+    println!("host model: {host_over_null:.2}x the null-sink engine time");
     for (name, secs) in &frames {
-        println!("frame-sim {name:<12} {:.2} ms/invocation", secs * 1e3);
+        println!("frame-sim {name:<12} {:.2} ms/simulation", secs * 1e3);
     }
 
     // Hand-rolled JSON (no serde in the workspace).
@@ -238,12 +262,13 @@ fn main() {
     let _ = writeln!(j, "  \"speedup_profile\": {speedup_prof:.3},");
     let _ = writeln!(j, "  \"geomean_speedup_null\": {geo_null:.3},");
     let _ = writeln!(j, "  \"geomean_speedup_profile\": {geo_prof:.3},");
+    let _ = writeln!(j, "  \"host_over_null\": {host_over_null:.3},");
     let _ = writeln!(j, "  \"frame_sims\": [");
     for (i, (name, secs)) in frames.iter().enumerate() {
         let comma = if i + 1 < frames.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    {{ \"name\": \"{name}\", \"ms_per_invocation\": {:.3} }}{comma}",
+            "    {{ \"name\": \"{name}\", \"ms_per_simulation\": {:.3} }}{comma}",
             secs * 1e3
         );
     }
@@ -253,11 +278,12 @@ fn main() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    {{ \"name\": \"{}\", \"ops\": {}, \"speedup_null\": {:.3}, \"speedup_profile\": {:.3} }}{comma}",
+            "    {{ \"name\": \"{}\", \"ops\": {}, \"speedup_null\": {:.3}, \"speedup_profile\": {:.3}, \"host_over_null\": {:.3} }}{comma}",
             r.name,
             r.ops,
             r.speedup_null(),
             r.speedup_prof(),
+            r.host_over_null(),
         );
     }
     let _ = writeln!(j, "  ]");
@@ -272,20 +298,28 @@ fn main() {
         let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/perf_baseline.json");
         let text = fs::read_to_string(baseline_path)
             .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
+        let baseline = |key: &str| {
+            json_number(&text, key)
+                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"))
+        };
         let mut failed = false;
         for (key, measured) in [
             ("speedup_null", speedup_null),
             ("speedup_profile", speedup_prof),
         ] {
-            let base = json_number(&text, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
+            let base = baseline(key);
             let floor = base * MIN_RATIO;
             let verdict = if measured < floor { "FAIL" } else { "ok" };
             println!("check {key}: measured {measured:.2}x, baseline {base:.2}x, floor {floor:.2}x ... {verdict}");
             failed |= measured < floor;
         }
+        let base = baseline("host_over_null");
+        let ceiling = base / MIN_RATIO;
+        let verdict = if host_over_null > ceiling { "FAIL" } else { "ok" };
+        println!("check host_over_null: measured {host_over_null:.2}x, baseline {base:.2}x, ceiling {ceiling:.2}x ... {verdict}");
+        failed |= host_over_null > ceiling;
         if failed {
-            eprintln!("perf regression: engine speedup fell below {MIN_RATIO} of baseline");
+            eprintln!("perf regression: a ratio crossed its gate ({MIN_RATIO} of baseline)");
             std::process::exit(1);
         }
     }

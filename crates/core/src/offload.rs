@@ -186,7 +186,7 @@ struct Region {
 }
 
 struct OffloadSim<'m, 'i> {
-    host: HostSim<'m>,
+    host: HostSim,
     module: &'m Module,
     regions: Vec<Region>,
     /// One global-history predictor for every region; `None` is the

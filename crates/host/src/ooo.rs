@@ -10,11 +10,20 @@
 //! captures the first-order effects the paper's comparison rests on —
 //! dataflow criticality, issue-width limits, ROB-bounded lookahead and
 //! cache locality.
+//!
+//! Like the execution engine, the model decodes once and never walks the
+//! IR while timing: [`HostSim::new`] lowers every function into flat
+//! per-block records (each φ with its incoming sources; each other
+//! instruction with its unit/latency `Kind` and operand sources; whether
+//! the block ends in a conditional branch). Each invocation times into its
+//! own dense completion-slot vector indexed by [`InstId`], recycled through
+//! a free list, and the instructions of the current block that are still
+//! waiting to be timed are a cursor over its records.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use needle_ir::interp::TraceSink;
-use needle_ir::{BlockId, FuncId, InstId, Module, Op, Terminator, Value};
+use needle_ir::{BlockId, FuncId, Function, InstId, Module, Op, Terminator, Value};
 
 use crate::cache::{Hierarchy, HierarchyStats};
 use crate::config::HostConfig;
@@ -51,6 +60,152 @@ impl HostStats {
     }
 }
 
+/// Completion-slot value of an instruction not yet timed in the current
+/// invocation; reads as the invocation's high-water mark.
+const UNTIMED: u64 = u64::MAX;
+
+/// Where an operand's ready time comes from.
+#[derive(Clone, Copy)]
+enum Src {
+    /// A constant: ready at cycle 0.
+    Const,
+    /// A function argument: ready when the invocation starts.
+    Arg,
+    /// An instruction result: its completion slot.
+    Slot(u32),
+}
+
+/// The functional-unit class and latency rule of a timed instruction.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// ALU at `int_latency`.
+    Int,
+    /// Integer divide/remainder: ALU at `div_latency`.
+    IntDiv,
+    /// FPU at `fp_latency`.
+    Fp,
+    /// FP divide/square root: FPU at `div_latency`.
+    FpDiv,
+    /// ALU, one cycle, not counted as an ALU op.
+    Call,
+    /// L1 port; the cache hierarchy decides the latency.
+    Load,
+    /// L1 port; retires in one cycle via the write buffer.
+    Store,
+}
+
+impl Kind {
+    fn of(op: Op) -> Kind {
+        match op {
+            Op::Load => Kind::Load,
+            Op::Store => Kind::Store,
+            Op::Div | Op::Rem => Kind::IntDiv,
+            Op::FDiv | Op::FSqrt => Kind::FpDiv,
+            Op::Call(_) => Kind::Call,
+            o if o.is_float() => Kind::Fp,
+            _ => Kind::Int,
+        }
+    }
+
+    fn is_mem(self) -> bool {
+        matches!(self, Kind::Load | Kind::Store)
+    }
+}
+
+/// A non-φ instruction's timing record.
+struct Rec {
+    /// Its completion slot (its [`InstId`] index).
+    slot: u32,
+    kind: Kind,
+    /// Operand sources: `srcs[lo..hi]` of the function.
+    srcs: (u32, u32),
+}
+
+/// A φ's record: it completes when the value flowing in does.
+struct PhiRec {
+    slot: u32,
+    /// `(incoming block, source)` pairs: `incoming[lo..hi]` of the
+    /// function, in operand order.
+    incoming: (u32, u32),
+}
+
+struct BlockRecs {
+    /// `phis[lo..hi]` of the function, in block order.
+    phis: (u32, u32),
+    /// `recs[lo..hi]` of the function, in block order.
+    recs: (u32, u32),
+    /// Whether the block ends in a conditional branch.
+    cond: bool,
+}
+
+/// One function lowered to timing records.
+struct FuncRecs {
+    /// Completion slots per invocation: one per instruction, plus one that
+    /// is never written and stands for operands naming no instruction.
+    slots: usize,
+    blocks: Vec<BlockRecs>,
+    recs: Vec<Rec>,
+    phis: Vec<PhiRec>,
+    srcs: Vec<Src>,
+    incoming: Vec<(u32, Src)>,
+}
+
+fn range<T>(v: &[T], (lo, hi): (u32, u32)) -> &[T] {
+    &v[lo as usize..hi as usize]
+}
+
+impl FuncRecs {
+    fn decode(f: &Function) -> FuncRecs {
+        let n = f.insts.len();
+        let src = |v: Value| match v {
+            Value::Const(_) => Src::Const,
+            Value::Arg(_) => Src::Arg,
+            Value::Inst(id) => Src::Slot(id.index().min(n) as u32),
+        };
+        let mut d = FuncRecs {
+            slots: n + 1,
+            blocks: Vec::with_capacity(f.blocks.len()),
+            recs: Vec::new(),
+            phis: Vec::new(),
+            srcs: Vec::new(),
+            incoming: Vec::new(),
+        };
+        for b in &f.blocks {
+            let (phi_lo, rec_lo) = (d.phis.len() as u32, d.recs.len() as u32);
+            for &iid in &b.insts {
+                let inst = f.inst(iid);
+                if inst.is_phi() {
+                    let lo = d.incoming.len() as u32;
+                    d.incoming.extend(
+                        inst.phi_blocks
+                            .iter()
+                            .zip(&inst.args)
+                            .map(|(bb, v)| (bb.0, src(*v))),
+                    );
+                    d.phis.push(PhiRec {
+                        slot: iid.0,
+                        incoming: (lo, d.incoming.len() as u32),
+                    });
+                } else {
+                    let lo = d.srcs.len() as u32;
+                    d.srcs.extend(inst.args.iter().map(|v| src(*v)));
+                    d.recs.push(Rec {
+                        slot: iid.0,
+                        kind: Kind::of(inst.op),
+                        srcs: (lo, d.srcs.len() as u32),
+                    });
+                }
+            }
+            d.blocks.push(BlockRecs {
+                phis: (phi_lo, d.phis.len() as u32),
+                recs: (rec_lo, d.recs.len() as u32),
+                cond: matches!(b.term, Terminator::CondBr { .. }),
+            });
+        }
+        d
+    }
+}
+
 struct Pipe {
     seq: u64,
     min_fetch: u64,
@@ -65,34 +220,50 @@ struct Pipe {
 }
 
 struct FrameState {
-    func: FuncId,
-    completion: HashMap<InstId, u64>,
+    func: usize,
+    /// Completion time of each instruction timed in this invocation,
+    /// indexed by [`InstId`]; [`UNTIMED`] reads as `water`.
+    done: Vec<u64>,
     invoke_time: u64,
     /// High-water completion within this invocation (fallback ready time).
     water: u64,
-    cur_block: Option<BlockId>,
-    pred_block: Option<BlockId>,
-    pending: VecDeque<InstId>,
+    cur_block: Option<u32>,
+    /// The current block's records not yet timed: `recs[next..end]`.
+    next: u32,
+    end: u32,
+}
+
+impl FrameState {
+    fn time(&self, s: Src) -> u64 {
+        match s {
+            Src::Const => 0,
+            Src::Arg => self.invoke_time,
+            Src::Slot(i) => match self.done[i as usize] {
+                UNTIMED => self.water,
+                t => t,
+            },
+        }
+    }
 }
 
 /// The host timing model. Feed it to
 /// [`Interp::run`](needle_ir::interp::Interp::run) as the trace sink, then
 /// call [`HostSim::finish`].
-pub struct HostSim<'m> {
-    module: &'m Module,
+pub struct HostSim {
     cfg: HostConfig,
+    /// Timing records, indexed by [`FuncId`].
+    funcs: Vec<FuncRecs>,
     /// The cache hierarchy (shared with the CGRA via
     /// [`Hierarchy::access_l2`] in co-simulation).
     pub hierarchy: Hierarchy,
     pipe: Pipe,
     frames: Vec<FrameState>,
+    /// Slot vectors of returned invocations, reused by later calls.
+    spare: Vec<Vec<u64>>,
     stats: HostStats,
-    /// When true, incoming events are not timed (the region is running on
-    /// the accelerator); semantics still execute on the interpreter.
-    pub suppressed: bool,
 }
 
-impl std::fmt::Debug for HostSim<'_> {
+impl std::fmt::Debug for HostSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostSim")
             .field("seq", &self.pipe.seq)
@@ -102,12 +273,12 @@ impl std::fmt::Debug for HostSim<'_> {
     }
 }
 
-impl<'m> HostSim<'m> {
+impl HostSim {
     /// A fresh simulator over `module`.
-    pub fn new(module: &'m Module, cfg: HostConfig) -> HostSim<'m> {
+    pub fn new(module: &Module, cfg: HostConfig) -> HostSim {
         let hierarchy = Hierarchy::new(cfg.l1_latency, cfg.l2_latency, cfg.mem_latency);
         HostSim {
-            module,
+            funcs: module.funcs.iter().map(FuncRecs::decode).collect(),
             hierarchy,
             pipe: Pipe {
                 seq: 0,
@@ -120,8 +291,8 @@ impl<'m> HostSim<'m> {
                 horizon: 0,
             },
             frames: Vec::new(),
+            spare: Vec::new(),
             stats: HostStats::default(),
-            suppressed: false,
             cfg,
         }
     }
@@ -141,16 +312,8 @@ impl<'m> HostSim<'m> {
 
     /// Flush pending work and return the final statistics.
     pub fn finish(mut self) -> HostStats {
-        while let Some(top) = self.frames.last_mut() {
-            Self::flush_frame(
-                top,
-                self.module,
-                &self.cfg,
-                &mut self.stats,
-                &mut self.hierarchy,
-                &mut self.pipe,
-                None,
-            );
+        while !self.frames.is_empty() {
+            self.flush_top(None);
             self.frames.pop();
         }
         self.stats.cycles = self.pipe.horizon;
@@ -158,26 +321,24 @@ impl<'m> HostSim<'m> {
         self.stats
     }
 
-    fn flush_frame(
-        frame: &mut FrameState,
-        module: &Module,
-        cfg: &HostConfig,
-        stats: &mut HostStats,
-        hierarchy: &mut Hierarchy,
-        pipe: &mut Pipe,
-        mem_addr: Option<(InstId, u64, bool)>,
-    ) {
-        // Time pending insts; stop after the one matching `mem_addr` (when
-        // given) or after the first un-addressed memory op would be hit.
-        while let Some(&iid) = frame.pending.front() {
-            let inst = module.func(frame.func).inst(iid);
-            let is_mem = inst.op.is_mem();
-            let addr = match (is_mem, mem_addr) {
-                (true, Some((target, a, _))) if target == iid => Some(a),
+    /// Time the top frame's pending instructions in order. With `mem_addr`
+    /// (the `(InstId, address)` of a memory event), stop right after that
+    /// memory op; otherwise, or on reaching any other memory op, stop before
+    /// it: a memory op waits for its own event.
+    fn flush_top(&mut self, mem_addr: Option<(u32, u64)>) {
+        let Some(frame) = self.frames.last_mut() else {
+            return;
+        };
+        let func = &self.funcs[frame.func];
+        let (cfg, pipe, stats) = (&self.cfg, &mut self.pipe, &mut self.stats);
+        while frame.next < frame.end {
+            let rec = &func.recs[frame.next as usize];
+            let addr = match (rec.kind.is_mem(), mem_addr) {
+                (true, Some((target, a))) if target == rec.slot => a,
                 (true, _) => return, // wait for this op's mem event
-                (false, _) => None,
+                (false, _) => 0,
             };
-            frame.pending.pop_front();
+            frame.next += 1;
 
             // Ready time: fetch constraint + operand dependences.
             let mut fetch = pipe.seq / cfg.fetch_width;
@@ -189,17 +350,15 @@ impl<'m> HostSim<'m> {
             }
             fetch = fetch.max(pipe.min_fetch);
             let mut ready = fetch;
-            for a in &inst.args {
-                ready = ready.max(Self::value_time(frame, *a));
+            for &s in range(&func.srcs, rec.srcs) {
+                ready = ready.max(frame.time(s));
             }
 
             // Issue: grab the earliest-free unit of the right class.
-            let pool: &mut [u64] = if is_mem {
-                &mut pipe.mem_free
-            } else if inst.op.is_float() {
-                &mut pipe.fpu_free
-            } else {
-                &mut pipe.alu_free
+            let pool: &mut [u64] = match rec.kind {
+                Kind::Load | Kind::Store => &mut pipe.mem_free,
+                Kind::Fp | Kind::FpDiv => &mut pipe.fpu_free,
+                Kind::Int | Kind::IntDiv | Kind::Call => &mut pipe.alu_free,
             };
             let (ui, free) = pool
                 .iter()
@@ -210,79 +369,50 @@ impl<'m> HostSim<'m> {
             let issue = ready.max(free);
             pool[ui] = issue + 1; // fully pipelined units
 
-            let latency = match inst.op {
-                Op::Load => {
-                    stats.loads += 1;
-                    hierarchy.access(addr.expect("load has an address"), false)
-                }
-                Op::Store => {
-                    stats.stores += 1;
-                    hierarchy.access(addr.expect("store has an address"), true);
-                    1 // retire via the write buffer
-                }
-                Op::Div | Op::Rem | Op::FDiv | Op::FSqrt => cfg.div_latency,
-                o if o.is_float() => {
-                    stats.fp_ops += 1;
-                    cfg.fp_latency
-                }
-                Op::Call(_) => 1,
-                _ => {
+            let latency = match rec.kind {
+                Kind::Int => {
                     stats.int_ops += 1;
                     cfg.int_latency
                 }
+                Kind::IntDiv => {
+                    stats.int_ops += 1;
+                    cfg.div_latency
+                }
+                Kind::Fp => {
+                    stats.fp_ops += 1;
+                    cfg.fp_latency
+                }
+                Kind::FpDiv => {
+                    stats.fp_ops += 1;
+                    cfg.div_latency
+                }
+                Kind::Call => 1,
+                Kind::Load => {
+                    stats.loads += 1;
+                    self.hierarchy.access(addr, false)
+                }
+                Kind::Store => {
+                    stats.stores += 1;
+                    self.hierarchy.access(addr, true);
+                    1 // retire via the write buffer
+                }
             };
-            if matches!(inst.op, Op::Div | Op::Rem) {
-                stats.int_ops += 1;
-            }
-            if matches!(inst.op, Op::FDiv | Op::FSqrt) {
-                stats.fp_ops += 1;
-            }
             let done = issue + latency;
             pipe.rob.push_back(done);
-            frame.completion.insert(iid, done);
+            frame.done[rec.slot as usize] = done;
             frame.water = frame.water.max(done);
             pipe.horizon = pipe.horizon.max(done);
             stats.insts += 1;
 
-            if is_mem && mem_addr.map(|(t, _, _)| t == iid).unwrap_or(false) {
+            if rec.kind.is_mem() {
                 return; // processed exactly the event's op
             }
         }
     }
-
-    fn value_time(frame: &FrameState, v: Value) -> u64 {
-        match v {
-            Value::Const(_) => 0,
-            Value::Arg(_) => frame.invoke_time,
-            Value::Inst(id) => frame
-                .completion
-                .get(&id)
-                .copied()
-                .unwrap_or(frame.water),
-        }
-    }
-
-    fn flush_top(&mut self, mem_addr: Option<(InstId, u64, bool)>) {
-        let Some(top) = self.frames.last_mut() else {
-            return;
-        };
-        Self::flush_frame(
-            top,
-            self.module,
-            &self.cfg,
-            &mut self.stats,
-            &mut self.hierarchy,
-            &mut self.pipe,
-            mem_addr,
-        );
-    }
 }
 
-impl TraceSink for HostSim<'_> {
+impl TraceSink for HostSim {
     fn enter(&mut self, func: FuncId) {
-        if self.suppressed {
-            return;
-        }
         // Time the caller's work up to the call site.
         self.flush_top(None);
         let invoke_time = self
@@ -290,80 +420,72 @@ impl TraceSink for HostSim<'_> {
             .last()
             .map(|f| f.water)
             .unwrap_or(self.pipe.horizon);
+        let mut done = self.spare.pop().unwrap_or_default();
+        done.clear();
+        done.resize(self.funcs[func.index()].slots, UNTIMED);
         self.frames.push(FrameState {
-            func,
-            completion: HashMap::new(),
+            func: func.index(),
+            done,
             invoke_time,
             water: invoke_time,
             cur_block: None,
-            pred_block: None,
-            pending: VecDeque::new(),
+            next: 0,
+            end: 0,
         });
     }
 
     fn exit(&mut self, _func: FuncId) {
-        if self.suppressed {
-            return;
-        }
         self.flush_top(None);
-        let done = self
-            .frames
-            .pop()
-            .map(|f| f.water)
-            .unwrap_or(self.pipe.horizon);
+        let done = match self.frames.pop() {
+            Some(f) => {
+                self.spare.push(f.done);
+                f.water
+            }
+            None => self.pipe.horizon,
+        };
         if let Some(parent) = self.frames.last_mut() {
             parent.water = parent.water.max(done);
         }
     }
 
     fn block(&mut self, func: FuncId, bb: BlockId) {
-        if self.suppressed {
-            return;
-        }
         self.flush_top(None);
-        let module = self.module;
-        let width = self.cfg.fetch_width;
         let Some(top) = self.frames.last_mut() else {
             return;
         };
-        debug_assert_eq!(top.func, func);
+        debug_assert_eq!(top.func, func.index());
         // Front-end redirect: even a correctly-predicted taken branch costs
         // an embedded-class core one fetch group (the paper's host is a
         // 1 GHz embedded 4-way OOO, not a server-class fetch engine).
         if top.cur_block.is_some() {
-            self.pipe.seq += width;
+            self.pipe.seq += self.cfg.fetch_width;
         }
-        top.pred_block = top.cur_block;
-        top.cur_block = Some(bb);
-        let f = module.func(func);
-        top.pending.clear();
-        for &iid in &f.block(bb).insts {
-            let inst = f.inst(iid);
-            if inst.is_phi() {
-                // φ: zero-cost rename; ready when the incoming value is.
-                let t = top
-                    .pred_block
-                    .and_then(|p| inst.phi_incoming(p))
-                    .map(|v| Self::value_time(top, v))
-                    .unwrap_or(top.invoke_time);
-                top.completion.insert(iid, t);
-            } else {
-                top.pending.push_back(iid);
-            }
+        let pred = top.cur_block;
+        top.cur_block = Some(bb.0);
+        let f = &self.funcs[top.func];
+        let b = &f.blocks[bb.index()];
+        // φ: zero-cost rename, ready when the incoming value is. φs are
+        // timed in block order, so a later φ reads an earlier one's new
+        // time.
+        for phi in range(&f.phis, b.phis) {
+            let incoming = range(&f.incoming, phi.incoming);
+            let t = pred
+                .and_then(|p| incoming.iter().find(|(from, _)| *from == p))
+                .map(|&(_, s)| top.time(s))
+                .unwrap_or(top.invoke_time);
+            top.done[phi.slot as usize] = t;
         }
+        (top.next, top.end) = b.recs;
         // Count the branch that got us here.
-        if let Some(p) = top.pred_block {
-            if matches!(f.block(p).term, Terminator::CondBr { .. }) {
+        if let Some(p) = pred {
+            if f.blocks[p as usize].cond {
                 self.stats.branches += 1;
             }
         }
     }
 
-    fn mem(&mut self, _func: FuncId, inst: InstId, addr: u64, is_store: bool) {
-        if self.suppressed {
-            return;
-        }
-        self.flush_top(Some((inst, addr, is_store)));
+    fn mem(&mut self, _func: FuncId, inst: InstId, addr: u64, _is_store: bool) {
+        self.flush_top(Some((inst.0, addr)));
     }
 }
 
@@ -478,27 +600,6 @@ mod tests {
         sim.stall(1000);
         let stats = sim.finish();
         assert!(stats.cycles >= before + 1000);
-    }
-
-    #[test]
-    fn suppression_skips_timing() {
-        let mut fb = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
-        let mut x = fb.arg(0);
-        for _ in 0..10 {
-            x = fb.add(x, V::int(1));
-        }
-        fb.ret(Some(x));
-        let mut m = Module::new("t");
-        let f = m.push(fb.finish());
-        let mut mem = Memory::new();
-        let mut sim = HostSim::new(&m, HostConfig::default());
-        sim.suppressed = true;
-        Interp::new(&m)
-            .run(f, &[Constant::Int(1)], &mut mem, &mut sim)
-            .unwrap();
-        let stats = sim.finish();
-        assert_eq!(stats.insts, 0);
-        assert_eq!(stats.cycles, 0);
     }
 
     #[test]

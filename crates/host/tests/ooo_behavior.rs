@@ -1,7 +1,7 @@
 //! Behavioural tests of the OOO timing model: the first-order effects the
 //! offload comparison relies on.
 
-use needle_host::{HostConfig, HostSim};
+use needle_host::{HierarchyStats, HostConfig, HostSim, HostStats};
 use needle_ir::builder::FunctionBuilder;
 use needle_ir::interp::{Interp, Memory};
 use needle_ir::{Constant, FuncId, Module, Type, Value as V};
@@ -162,4 +162,85 @@ fn ipc_never_exceeds_fetch_width() {
         assert!(stats.ipc() <= 4.0 + 1e-9, "{name}: ipc {}", stats.ipc());
         assert!(stats.ipc() > 0.2, "{name}: ipc {}", stats.ipc());
     }
+}
+
+/// `HostStats` from its figures in declaration order: cycles, insts,
+/// int/fp ops, loads, stores, branches, then the L1 hit/miss and L2
+/// hit/miss counters.
+fn pinned(v: [u64; 11]) -> HostStats {
+    HostStats {
+        cycles: v[0],
+        insts: v[1],
+        int_ops: v[2],
+        fp_ops: v[3],
+        loads: v[4],
+        stores: v[5],
+        branches: v[6],
+        cache: HierarchyStats {
+            l1_hits: v[7],
+            l1_misses: v[8],
+            l2_hits: v[9],
+            l2_misses: v[10],
+        },
+    }
+}
+
+/// Exact `HostStats` of default-configured suite runs. The figures pin the
+/// timing rules: a faster model must reproduce them.
+#[test]
+fn suite_workloads_keep_their_exact_host_stats() {
+    let rows = [
+        // Programs that make calls.
+        ("186.crafty", [656_076, 1_244_297, 1_026_885, 0, 210_000, 0, 120_001, 209_743, 257, 0, 257]),
+        ("403.gcc", [94_847, 211_381, 178_651, 0, 27_000, 2_865, 15_001, 29_736, 129, 0, 129]),
+        ("453.povray", [745_311, 910_054, 272_868, 540_202, 80_000, 15_013, 36_001, 94_756, 257, 0, 257]),
+        // Divide/square-root and FP ops.
+        ("blackscholes", [1_596_009, 1_537_503, 236_003, 1_301_500, 0, 0, 80_001, 0, 0, 0, 0]),
+        ("470.lbm", [168_990, 329_611, 109_606, 185_604, 24_000, 10_401, 2_401, 34_273, 128, 0, 128]),
+        // L2 hits.
+        ("401.bzip2", [2_515_442, 6_301_763, 5_511_526, 0, 700_000, 90_237, 320_001, 789_179, 1_058, 32, 1_026]),
+    ];
+    for (name, want) in rows {
+        let w = needle_workloads::by_name(name).unwrap();
+        let mut sim = HostSim::new(&w.module, HostConfig::default());
+        let mut mem = w.memory.clone();
+        Interp::new(&w.module)
+            .run(w.func, &w.args, &mut mem, &mut sim)
+            .unwrap();
+        assert_eq!(sim.finish(), pinned(want), "{name}");
+    }
+}
+
+/// `rec(n)` computes `y` before calling `rec(n - 1)` and reads it after the
+/// call returns (the store holds the read back until then). Each
+/// invocation must time `y` from its own completion slots: a callee that
+/// shared or cleared its caller's slots would move the divide chain.
+#[test]
+fn recursive_frames_keep_their_own_slots() {
+    let mut m = Module::new("t");
+    let mut fb = FunctionBuilder::new("rec", &[Type::I64], Some(Type::I64));
+    let recurse = fb.block("recurse");
+    let base = fb.block("base");
+    let y = fb.div(fb.arg(0), V::int(3));
+    let c = fb.icmp_sgt(fb.arg(0), V::int(0));
+    fb.cond_br(c, recurse, base);
+    fb.switch_to(recurse);
+    let n1 = fb.sub(fb.arg(0), V::int(1));
+    let r = fb.call(FuncId(0), Type::I64, &[n1]);
+    fb.store(r, V::ptr(0x2000));
+    let z = fb.add(y, V::int(1));
+    let d1 = fb.div(z, V::int(3));
+    let d2 = fb.div(d1, V::int(3));
+    let w = fb.add(d2, r);
+    fb.ret(Some(w));
+    fb.switch_to(base);
+    let b1 = fb.div(fb.arg(0), V::int(7));
+    let b2 = fb.div(b1, V::int(7));
+    fb.ret(Some(b2));
+    let f = m.push(fb.finish());
+    let want = [236, 112, 88, 0, 0, 12, 13, 11, 1, 0, 1];
+    assert_eq!(
+        run(&m, f, &[Constant::Int(12)], HostConfig::default()),
+        pinned(want)
+    );
 }
