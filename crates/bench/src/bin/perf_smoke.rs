@@ -61,20 +61,33 @@ impl Row {
     }
 }
 
-/// Time `f` adaptively: repeat until the window closes (at least twice)
-/// and return the mean seconds per call.
+/// Time `f` adaptively: repeat until the window closes (at least twice),
+/// split the calls into five consecutive sub-windows, and return the
+/// median of their mean seconds per call. A burst of other load on the
+/// box inflates one sub-window, which moves the median far less than it
+/// moves the window's mean.
 fn time_one<F: FnMut()>(window: Duration, mut f: F) -> f64 {
     f(); // warm-up (decodes the engine, faults pages, warms caches)
-    let mut reps = 0u32;
+    let mut calls = Vec::new();
     let start = Instant::now();
-    loop {
+    while calls.len() < 2 || start.elapsed() < window {
+        let t = Instant::now();
         f();
-        reps += 1;
-        if reps >= 2 && start.elapsed() >= window {
-            break;
-        }
+        calls.push(t.elapsed().as_secs_f64());
     }
-    start.elapsed().as_secs_f64() / f64::from(reps)
+    let n = calls.len();
+    let mut means: Vec<f64> = (0..5)
+        .map(|i| &calls[i * n / 5..(i + 1) * n / 5])
+        .filter(|c| !c.is_empty())
+        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
+        .collect();
+    means.sort_by(f64::total_cmp);
+    let mid = means.len() / 2;
+    if means.len() % 2 == 1 {
+        means[mid]
+    } else {
+        (means[mid - 1] + means[mid]) / 2.0
+    }
 }
 
 fn measure_suite(window: Duration) -> Vec<Row> {

@@ -12,12 +12,12 @@
 
 use std::process::ExitCode;
 
+use needle::soak::adaptive_governor;
 use needle::{
-    analyze, audit_ledger, certify_workload, peek_journal, run_adaptive_soak, run_shard_soak,
-    run_soak, run_supervised, simulate_offload, storm_scenario, AdaptiveSoakConfig,
-    CampaignOptions, CampaignReport, CampaignUnit, CertStats, ChaosConfig, GovernorConfig,
-    NeedleConfig, PredictorKind, Request, ServeConfig, Service, ShardServeConfig, ShardSoakConfig,
-    ShardedService, SoakConfig, SupervisorConfig, UnitKind, UnitPayload, VerdictJournal,
+    analyze, audit_ledger, certify_workload, peek_journal, run_soak, run_supervised,
+    simulate_offload, storm_scenario, CampaignOptions, CampaignReport, CampaignUnit, CertStats,
+    ChaosConfig, GovernorConfig, NeedleConfig, PredictorKind, Request, ServeConfig, ServiceHandle,
+    SoakConfig, SoakScenario, SupervisorConfig, UnitKind, UnitPayload, VerdictJournal,
     VerifyPolicy,
 };
 use needle_frames::build_frame;
@@ -90,42 +90,37 @@ USAGE:
       per-shard rows plus router/failover counters. --adaptive arms the
       offload governor: sampled path profiles re-rank regions per epoch
       and the report adds the governor counters and timeline.
-  needle soak [--seed N] [--requests N] [--no-chaos] [--workers N]
-      Seeded soak of the execution service. With chaos (default) the
-      driver injects worker panics, frame guard failures, and deadline
-      storms while verifying that every accepted request is answered
-      exactly once (`accepted == completed + failed + shed`), that a
-      circuit breaker both trips and recovers, and that shutdown sheds
-      rather than loses the queued tail. Deterministic in --seed;
-      exits non-zero on any invariant violation.
-  needle soak --shard-chaos [--seed N] [--requests N] [--shards N]
-              [--workers N] [--ledger PATH]
-      Multi-shard chaos soak: the seeded stream rides over seeded
-      shard kills (crash-style, in-flight work orphaned), a wedged
-      worker the watchdog must detect and restart, and a graceful
-      rebalance mid-burst. Failover re-routes orphaned requests with
-      jittered backoff; exactly-once is verified three independent
-      ways (driver ledger, service counters, and — with --ledger — an
-      offline replay of the durable dedup journal). Deterministic in
-      --seed; exits non-zero on any violation.
-  needle soak --adaptive [--seed N] [--requests N] [--shards N]
-              [--workers N] [--out PATH] [--verify-policy P]
-              [--inject-miscompile EPOCH]
-      Phase-shift soak of the adaptive offload governor: the request
-      stream promotes a hot path, flips the branch bias so a different
-      path dominates (forcing a live region hot-swap with zero drain),
-      storms the guards until the breaker-informed re-ranker demotes
-      the aborting region, then recovers. An injected re-ranker panic
-      must be absorbed by pinning the last-known-good region table.
-      With --shards N the stream runs through the multi-shard router.
-      --out writes the report (counters + governor timeline) as JSON.
-      --verify-policy picks the publish gate (differential,
-      prefer-symbolic, require-proof); under require-proof only
-      symbolically proved frames go live. --inject-miscompile EPOCH
-      miscompiles the first frame built at or after that epoch (a
-      dropped store) — the cert gate must refuse it and keep the
-      incumbent serving, and the soak verdict checks that it did.
+  needle soak [--seed N] [--requests N] [--shards N] [--workers N]
+              [--no-chaos | --shard-chaos | --adaptive] [--ledger PATH]
+              [--out PATH]
+      Seeded soak of the execution service. One driver runs the chosen
+      scenario against one service, or with --shards N (N >= 2) the
+      supervised multi-shard router, then sheds a queued tail through
+      shutdown and verifies that every accepted request was answered
+      exactly once (`accepted == completed + failed + shed`). On the
+      router, --ledger PATH keeps the durable dedup journal and the soak
+      replays it offline at the end. --out writes the report as JSON.
       Deterministic in --seed; exits non-zero on any violation.
+      Default scenario: the chaos mix — injected worker panics, frame
+      guard failures, and deadline storms; a circuit breaker must both
+      trip and recover. --no-chaos runs the plain mix.
+      --shard-chaos (always on the router; 4 shards by default): the
+      chaos mix rides over seeded shard kills (crash-style, in-flight
+      work orphaned), a wedged worker the watchdog must detect and
+      restart, and a graceful rebalance mid-burst; failover re-routes
+      orphaned requests with jittered backoff.
+      --adaptive [--verify-policy P] [--inject-miscompile EPOCH]: the
+      request stream promotes a hot path, flips the branch bias so a
+      different path dominates (forcing a live region hot-swap with
+      zero drain), storms the guards until the breaker-informed
+      re-ranker demotes the aborting region, then recovers; an injected
+      re-ranker panic must be absorbed by pinning the last-known-good
+      region table. --requests splits over the four stages (default
+      3000 each). --verify-policy picks the publish gate (differential,
+      require-proof); under require-proof only symbolically proved
+      frames go live. --inject-miscompile EPOCH miscompiles the first
+      frame built at or after that epoch (a dropped store) — the cert
+      gate must refuse it and keep the incumbent serving.
   needle loadgen [--scenario S|all] [--seed N] [--shards N] [--workers N]
                  [--queue-depth N] [--baseline] [--out PATH] [--check]
       Deterministic open-loop load generation against a virtual-time
@@ -322,41 +317,49 @@ fn cmd_offload(name: &str, args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The value after `flag`, if the flag is given. A flag given without a
+/// value — last on the line, or followed by another `--` flag — is an
+/// error naming the flag, never a silent default.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
-/// Parse the shared supervisor policy flags.
-fn sup_from_flags(args: &[String]) -> Result<SupervisorConfig, Box<dyn std::error::Error>> {
-    let mut sup = SupervisorConfig::default();
-    if let Some(s) = flag_value(args, "--workers") {
+/// Apply the shared supervisor policy flags over `sup`.
+fn sup_from_flags(
+    args: &[String],
+    mut sup: SupervisorConfig,
+) -> Result<SupervisorConfig, Box<dyn std::error::Error>> {
+    if let Some(s) = flag_value(args, "--workers")? {
         sup.workers = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--deadline-ms") {
+    if let Some(s) = flag_value(args, "--deadline-ms")? {
         sup.deadline_ms = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--retries") {
+    if let Some(s) = flag_value(args, "--retries")? {
         sup.max_attempts = s.parse()?;
     }
     Ok(sup)
 }
 
 /// Parse the shared journal/resume flags.
-fn opts_from_flags(args: &[String]) -> CampaignOptions {
-    CampaignOptions {
-        journal: flag_value(args, "--journal").map(std::path::PathBuf::from),
+fn opts_from_flags(args: &[String]) -> Result<CampaignOptions, String> {
+    Ok(CampaignOptions {
+        journal: flag_value(args, "--journal")?.map(std::path::PathBuf::from),
         resume: args.iter().any(|a| a == "--resume"),
         kill_after_records: None,
-    }
+    })
 }
 
 fn cmd_suite(args: &[String]) -> CliResult {
     let path = args.iter().any(|a| a == "--path");
     let oracle = args.iter().any(|a| a == "--oracle");
-    let names: Vec<String> = match flag_value(args, "--workloads") {
+    let names: Vec<String> = match flag_value(args, "--workloads")? {
         Some(s) => s.split(',').map(str::to_string).collect(),
         None => needle_workloads::specs().iter().map(|s| s.name.to_string()).collect(),
     };
@@ -380,28 +383,20 @@ fn cmd_suite(args: &[String]) -> CliResult {
     let report = run_supervised(
         units,
         &NeedleConfig::default(),
-        &sup_from_flags(args)?,
-        &opts_from_flags(args),
+        &sup_from_flags(args, SupervisorConfig::default())?,
+        &opts_from_flags(args)?,
     )?;
     println!("{report}");
     Ok(())
 }
 
 fn cmd_resume(args: &[String]) -> CliResult {
-    let journal = flag_value(args, "--journal")
+    let journal = flag_value(args, "--journal")?
         .ok_or("resume needs --journal PATH")?
         .to_string();
-    let (_, mut sup) = peek_journal(std::path::Path::new(&journal))?;
     // Flag overrides beat the journaled policy.
-    if let Some(s) = flag_value(args, "--workers") {
-        sup.workers = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--deadline-ms") {
-        sup.deadline_ms = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--retries") {
-        sup.max_attempts = s.parse()?;
-    }
+    let (_, journaled) = peek_journal(std::path::Path::new(&journal))?;
+    let sup = sup_from_flags(args, journaled)?;
     let opts = CampaignOptions {
         journal: Some(std::path::PathBuf::from(journal)),
         resume: true,
@@ -443,16 +438,16 @@ fn parse_seed(s: &str) -> Result<u64, Box<dyn std::error::Error>> {
 }
 
 fn cmd_fuzz(args: &[String]) -> CliResult {
-    let seed = match flag_value(args, "--seed") {
+    let seed = match flag_value(args, "--seed")? {
         Some(s) => parse_seed(s)?,
         None => 0,
     };
-    let iters: u64 = match flag_value(args, "--iters") {
+    let iters: u64 = match flag_value(args, "--iters")? {
         Some(s) => s.parse()?,
         None => 1000,
     };
     let minimize = args.iter().any(|a| a == "--minimize");
-    let repro_dir = flag_value(args, "--repro-dir").unwrap_or("tests/repros");
+    let repro_dir = flag_value(args, "--repro-dir")?.unwrap_or("tests/repros");
 
     // Shard into supervised units; each shard keeps its *global* start
     // index, so the case stream is identical however the campaign is
@@ -481,8 +476,8 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     let report = run_supervised(
         units,
         &NeedleConfig::default(),
-        &sup_from_flags(args)?,
-        &opts_from_flags(args),
+        &sup_from_flags(args, SupervisorConfig::default())?,
+        &opts_from_flags(args)?,
     )?;
     println!("{report}");
 
@@ -522,13 +517,13 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
 
 fn cmd_chaos(args: &[String]) -> CliResult {
     let mut chaos = ChaosConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
+    if let Some(s) = flag_value(args, "--seed")? {
         chaos.seed = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--faults") {
+    if let Some(s) = flag_value(args, "--faults")? {
         chaos.faults = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--workloads") {
+    if let Some(s) = flag_value(args, "--workloads")? {
         chaos.workloads = s.split(',').map(str::to_string).collect();
     }
     chaos.include_corruption = args.iter().any(|a| a == "--corruption");
@@ -553,7 +548,12 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             },
         })
         .collect();
-    let report = run_supervised(units, &cfg, &sup_from_flags(args)?, &opts_from_flags(args))?;
+    let report = run_supervised(
+        units,
+        &cfg,
+        &sup_from_flags(args, SupervisorConfig::default())?,
+        &opts_from_flags(args)?,
+    )?;
     println!("{report}");
     let mut failed = !chaos_units_clean(&report);
 
@@ -588,27 +588,22 @@ fn cmd_chaos(args: &[String]) -> CliResult {
 
 fn cmd_serve(args: &[String]) -> CliResult {
     let mut cfg = ServeConfig::default();
-    if let Some(s) = flag_value(args, "--workers") {
+    if let Some(s) = flag_value(args, "--workers")? {
         cfg.workers = s.parse()?;
     }
     if args.iter().any(|a| a == "--adaptive") {
         let mut g = GovernorConfig::default();
-        if let Some(s) = flag_value(args, "--verify-policy") {
+        if let Some(s) = flag_value(args, "--verify-policy")? {
             g.verify = s.parse::<VerifyPolicy>()?;
         }
         cfg.adaptive = Some(g);
     }
-    let requests: u64 = match flag_value(args, "--requests") {
+    let requests: u64 = match flag_value(args, "--requests")? {
         Some(s) => s.parse()?,
         None => 64,
     };
-    if let Some(s) = flag_value(args, "--shards") {
-        let mut scfg = ShardServeConfig::default();
-        scfg.policy.shards = s.parse()?;
-        scfg.serve = cfg;
-        return serve_sharded_demo(scfg, requests);
-    }
-    let svc = Service::start(cfg)?;
+    let shards = flag_value(args, "--shards")?.map(str::parse).transpose()?;
+    let svc = ServiceHandle::start(cfg, shards, None)?;
     let (tx, rx) = std::sync::mpsc::channel();
     let mut accepted = 0u64;
     let mut answered = 0u64;
@@ -649,164 +644,72 @@ fn cmd_serve(args: &[String]) -> CliResult {
             Err(_) => break,
         }
     }
-    let m = svc.shutdown();
-    println!("served {accepted} accepted of {requests} offered\n{m}");
-    if !m.invariant_holds() {
+    // On the router the report is its counters and per-shard rows.
+    let (m, sharded) = svc.shutdown();
+    let (report, balanced) = match &sharded {
+        Some(s) => (s.to_string(), s.invariant_holds()),
+        None => (m.to_string(), m.invariant_holds()),
+    };
+    println!("served {accepted} accepted of {requests} offered\n{report}");
+    if !balanced {
         return Err("exactly-once invariant violated".into());
     }
     Ok(())
 }
 
-/// The `serve --shards N` demo: the same representative mix as the
-/// single-service demo, but routed through the supervised multi-shard
-/// service so the report shows per-shard rows and router counters.
-fn serve_sharded_demo(cfg: ShardServeConfig, requests: u64) -> CliResult {
-    let svc = ShardedService::start(cfg)?;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut accepted = 0u64;
-    let mut answered = 0u64;
-    for id in 0..requests {
-        let mut req = match id % 8 {
-            0..=4 => Request::new(id, "svc.sum"),
-            5 => {
-                let mut r = Request::new(id, "svc.sum");
-                r.fuel = 16;
-                r
-            }
-            6 => {
-                let mut r = Request::new(id, "svc.mem");
-                r.max_pages = 3;
-                r
-            }
-            _ => Request::new(id, "999.loop"),
-        };
-        if req.workload == "999.loop" {
-            req.deadline_ms = 10;
-            req.fuel = u64::MAX / 4;
-        }
-        if svc.submit(req, &tx).is_ok() {
-            accepted += 1;
-        }
-        while rx.try_recv().is_ok() {
-            answered += 1;
-        }
-    }
-    while answered < accepted {
-        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
-            Ok(_) => answered += 1,
-            Err(_) => break,
-        }
-    }
-    let m = svc.shutdown();
-    println!("served {accepted} accepted of {requests} offered\n{m}");
-    if !m.invariant_holds() {
-        return Err("exactly-once invariant violated".into());
-    }
-    Ok(())
-}
-
+/// The `soak` subcommand: one driver, the scenario picked by flag
+/// (`--shard-chaos`, then `--adaptive`, else the mixed load, with chaos
+/// unless `--no-chaos`).
 fn cmd_soak(args: &[String]) -> CliResult {
-    if args.iter().any(|a| a == "--shard-chaos") {
-        return cmd_shard_soak(args);
-    }
-    if args.iter().any(|a| a == "--adaptive") {
-        return cmd_adaptive_soak(args);
-    }
-    let mut cfg = SoakConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let scenario = if has("--shard-chaos") {
+        SoakScenario::ShardChaos
+    } else if has("--adaptive") {
+        SoakScenario::Adaptive(adaptive_governor())
+    } else {
+        SoakScenario::Mixed {
+            chaos: !has("--no-chaos"),
+        }
+    };
+    let mut cfg = SoakConfig::new(scenario);
+    if let Some(s) = flag_value(args, "--seed")? {
         cfg.seed = parse_seed(s)?;
     }
-    if let Some(s) = flag_value(args, "--requests") {
+    if let Some(s) = flag_value(args, "--requests")? {
         cfg.requests = s.parse()?;
     }
-    if args.iter().any(|a| a == "--no-chaos") {
-        cfg.chaos = false;
+    if let Some(s) = flag_value(args, "--shards")? {
+        cfg.shards = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--workers") {
+    if let Some(s) = flag_value(args, "--workers")? {
         cfg.serve.workers = s.parse()?;
+    }
+    if let Some(s) = flag_value(args, "--ledger")? {
+        cfg.ledger = Some(std::path::PathBuf::from(s));
+    }
+    if let SoakScenario::Adaptive(g) = &mut cfg.scenario {
+        if let Some(s) = flag_value(args, "--verify-policy")? {
+            g.verify = s.parse::<VerifyPolicy>()?;
+        }
+        if let Some(s) = flag_value(args, "--inject-miscompile")? {
+            g.inject_miscompile_at_epoch = Some(s.parse()?);
+            if g.verify == VerifyPolicy::Differential {
+                return Err("--inject-miscompile needs --verify-policy require-proof \
+                     (the differential probe alone may publish the miscompiled frame)"
+                    .into());
+            }
+        }
     }
     let report = run_soak(&cfg)?;
     println!("{report}");
-    if !report.is_clean() {
-        return Err(format!("soak violated {} invariant(s)", report.violations.len()).into());
-    }
-    Ok(())
-}
-
-/// The `soak --shard-chaos` driver: seeded kills, a wedge, and a
-/// rebalance over the sharded service, with exactly-once verified by
-/// the driver, the service counters, and (with --ledger) an offline
-/// replay of the durable journal.
-fn cmd_shard_soak(args: &[String]) -> CliResult {
-    let mut cfg = ShardSoakConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = parse_seed(s)?;
-    }
-    if let Some(s) = flag_value(args, "--requests") {
-        cfg.requests = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--shards") {
-        cfg.sharded.policy.shards = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--workers") {
-        cfg.sharded.serve.workers = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--ledger") {
-        cfg.sharded.ledger = Some(std::path::PathBuf::from(s));
-    }
-    let report = run_shard_soak(&cfg)?;
-    println!("{report}");
-    if !report.is_clean() {
-        return Err(format!(
-            "shard soak violated {} invariant(s)",
-            report.violations.len()
-        )
-        .into());
-    }
-    Ok(())
-}
-
-/// The `soak --adaptive` driver: a phase-shift request stream over the
-/// governed service (single or sharded), asserting live hot-swap,
-/// breaker-informed demotion, and panic-pinned degradation.
-fn cmd_adaptive_soak(args: &[String]) -> CliResult {
-    let mut cfg = AdaptiveSoakConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = parse_seed(s)?;
-    }
-    if let Some(s) = flag_value(args, "--requests") {
-        // The soak runs four phases; spread the budget across them.
-        let requests: u64 = s.parse()?;
-        cfg.phase_requests = (requests / 4).max(200);
-    }
-    if let Some(s) = flag_value(args, "--shards") {
-        cfg.shards = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--workers") {
-        cfg.serve.workers = s.parse()?;
-    }
-    if let Some(s) = flag_value(args, "--verify-policy") {
-        cfg.governor.verify = s.parse::<VerifyPolicy>()?;
-    }
-    if let Some(s) = flag_value(args, "--inject-miscompile") {
-        cfg.governor.inject_miscompile_at_epoch = Some(s.parse()?);
-        if cfg.governor.verify == VerifyPolicy::Differential {
-            return Err(
-                "--inject-miscompile needs --verify-policy prefer-symbolic or require-proof \
-                 (the differential probe alone may publish the miscompiled frame)"
-                    .into(),
-            );
-        }
-    }
-    let report = run_adaptive_soak(&cfg)?;
-    println!("{report}");
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = flag_value(args, "--out")? {
         needle::report::write_report(std::path::Path::new(path), &report.to_json())?;
         println!("report written to {path}");
     }
     if !report.is_clean() {
         return Err(format!(
-            "adaptive soak violated {} invariant(s)",
+            "{} soak violated {} invariant(s)",
+            report.scenario,
             report.violations.len()
         )
         .into());
@@ -822,22 +725,22 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     use needle::{check_loadgen, run_loadgen, LoadgenConfig, Scenario};
 
     let mut cfg = LoadgenConfig::default();
-    if let Some(s) = flag_value(args, "--seed") {
+    if let Some(s) = flag_value(args, "--seed")? {
         cfg.seed = parse_seed(s)?;
     }
-    if let Some(s) = flag_value(args, "--shards") {
+    if let Some(s) = flag_value(args, "--shards")? {
         cfg.shards = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--workers") {
+    if let Some(s) = flag_value(args, "--workers")? {
         cfg.workers_per_shard = s.parse()?;
     }
-    if let Some(s) = flag_value(args, "--queue-depth") {
+    if let Some(s) = flag_value(args, "--queue-depth")? {
         cfg.queue_depth = s.parse()?;
     }
     if args.iter().any(|a| a == "--baseline") {
         cfg.hardened = false;
     }
-    let scenarios: Vec<Scenario> = match flag_value(args, "--scenario") {
+    let scenarios: Vec<Scenario> = match flag_value(args, "--scenario")? {
         None | Some("all") => Scenario::all().to_vec(),
         Some(s) => vec![s.parse()?],
     };
@@ -861,7 +764,7 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
         payloads.push(report.data_json());
     }
 
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = flag_value(args, "--out")? {
         let data = Json::Obj(vec![("scenarios".into(), Json::Arr(payloads))]);
         let env = needle::report::envelope("loadgen", cfg.seed, &failures, data);
         needle::report::write_report(std::path::Path::new(path), &env)?;
@@ -904,12 +807,12 @@ fn cmd_certify(args: &[String]) -> CliResult {
         .get(1)
         .filter(|p| !p.starts_with('-'))
         .ok_or("certify needs a workload name or `all` (try `needle list`)")?;
-    let top: usize = match flag_value(args, "--top") {
+    let top: usize = match flag_value(args, "--top")? {
         Some(s) => s.parse()?,
         None => 3,
     };
     let cert_cfg = needle_frames::CertConfig::default();
-    let mut cache = match flag_value(args, "--cache") {
+    let mut cache = match flag_value(args, "--cache")? {
         Some(p) => Some(VerdictJournal::open(std::path::Path::new(p))?),
         None => None,
     };
@@ -955,7 +858,7 @@ fn cmd_certify(args: &[String]) -> CliResult {
         reports.push(report);
     }
     println!("\n{total}");
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = flag_value(args, "--json")? {
         use needle::journal::Json;
         let violations: Vec<String> = reports
             .iter()
@@ -1017,4 +920,25 @@ fn cmd_run_ir(args: &[String]) -> CliResult {
         None => println!("=> (void)"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_value;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_an_error_naming_the_flag() {
+        assert_eq!(flag_value(&args("soak --seed 7"), "--seed"), Ok(Some("7")));
+        assert_eq!(flag_value(&args("soak --requests 5"), "--seed"), Ok(None));
+        let missing = Err("--seed needs a value".to_string());
+        assert_eq!(flag_value(&args("soak --seed"), "--seed"), missing);
+        assert_eq!(
+            flag_value(&args("soak --seed --requests 5"), "--seed"),
+            missing
+        );
+    }
 }

@@ -43,10 +43,6 @@ pub enum VerifyPolicy {
     /// Legacy behaviour: one seeded differential probe only.
     #[default]
     Differential,
-    /// Try the symbolic checker first. `Proved` publishes without a
-    /// probe; `Refuted` refuses; `Timeout`/`Unsupported` fall back to
-    /// the differential probe (recording why).
-    PreferSymbolic,
     /// Publish **only** `Proved` frames. Anything weaker — including a
     /// clean differential probe — refuses the swap and keeps the
     /// incumbent region table serving.
@@ -59,11 +55,9 @@ impl FromStr for VerifyPolicy {
     fn from_str(s: &str) -> Result<VerifyPolicy, String> {
         match s {
             "differential" => Ok(VerifyPolicy::Differential),
-            "prefer-symbolic" => Ok(VerifyPolicy::PreferSymbolic),
             "require-proof" => Ok(VerifyPolicy::RequireProof),
             other => Err(format!(
-                "unknown verify policy {other:?} (expected differential, \
-                 prefer-symbolic, or require-proof)"
+                "unknown verify policy {other:?} (expected differential or require-proof)"
             )),
         }
     }
@@ -73,7 +67,6 @@ impl fmt::Display for VerifyPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             VerifyPolicy::Differential => "differential",
-            VerifyPolicy::PreferSymbolic => "prefer-symbolic",
             VerifyPolicy::RequireProof => "require-proof",
         };
         write!(f, "{s}")
@@ -602,7 +595,6 @@ mod tests {
     fn policy_parses_and_displays() {
         for (s, p) in [
             ("differential", VerifyPolicy::Differential),
-            ("prefer-symbolic", VerifyPolicy::PreferSymbolic),
             ("require-proof", VerifyPolicy::RequireProof),
         ] {
             assert_eq!(s.parse::<VerifyPolicy>().unwrap(), p);

@@ -56,6 +56,7 @@ pub mod overload;
 pub mod report;
 pub mod serve;
 pub mod shard;
+pub mod soak;
 pub mod supervisor;
 mod sync;
 
@@ -87,14 +88,14 @@ pub use supervisor::{
     UnitOutcome, UnitPayload, UnitReport,
 };
 pub use serve::{
-    run_adaptive_soak, run_soak, AdaptiveSoakConfig, FailReason, FuncStatRow, InjectedFault,
-    MetricsSnapshot, Outcome, Request, Response, ServeConfig, Service, ShedReason, SoakConfig,
-    SoakReport,
+    FailReason, FuncStatRow, InjectedFault, MetricsSnapshot, Outcome, Request, Response,
+    ServeConfig, Service, ShedReason,
 };
 pub use shard::{
-    audit_ledger, run_shard_soak, LedgerAudit, RouterMetrics, ShardRow, ShardSoakConfig,
-    ShardSoakReport, ShardServeConfig, ShardedMetrics, ShardedService,
+    audit_ledger, LedgerAudit, RouterMetrics, ShardRow, ShardServeConfig, ShardedMetrics,
+    ShardedService,
 };
+pub use soak::{run_soak, ServiceHandle, SoakConfig, SoakReport, SoakScenario};
 pub use offload::{
     simulate_offload, simulate_offload_with, OffloadReport, PredictorKind, RegionSpec,
 };

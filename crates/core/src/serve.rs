@@ -40,22 +40,22 @@
 //!   drain deadline, after which in-flight tokens are cancelled), sheds
 //!   everything still queued, and returns the final metrics snapshot.
 //!
-//! [`run_soak`] drives a service with a seeded, deterministic request
-//! stream while injecting chaos — worker panics, guard failures through
-//! the frame [`FaultInjector`], deadline storms — and verifies the
-//! exactly-once invariant plus `accepted == completed + failed +
-//! shed_after_accept` at the end.
+//! [`crate::soak::run_soak`] drives a service with a seeded,
+//! deterministic request stream while injecting chaos — worker panics,
+//! guard failures through the frame [`FaultInjector`], deadline storms —
+//! and verifies the exactly-once invariant plus `accepted == completed +
+//! failed + shed_after_accept` at the end.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use needle_frames::{
     build_frame, certify_frame, run_frame_with, verify_invocation, CertConfig, CertVerdict,
@@ -81,9 +81,7 @@ use crate::governor::{
     plan_epoch, CurrentChoice, Decision, DemotionLedger, EpochEvent, EventKind, GovernorConfig,
     GovernorStats, PathCandidate, WorkloadObservation,
 };
-use crate::journal::Json;
 use crate::overload::{Admitted, ServiceCore};
-use crate::report;
 use crate::supervisor::silence_supervised_panics;
 use crate::sync::{plock, pwait_timeout};
 
@@ -1956,8 +1954,6 @@ fn inject_miscompile(frame: &mut Frame) {
 /// live: decode → region validate → build → frame validate → the
 /// configured verification gate. Under [`VerifyPolicy::Differential`]
 /// that gate is one seeded probe through the rollback verifier; under
-/// [`VerifyPolicy::PreferSymbolic`] the symbolic checker runs first and
-/// the probe only backstops `Timeout`/`Unsupported`; under
 /// [`VerifyPolicy::RequireProof`] nothing short of `Proved` publishes.
 fn build_and_verify(
     g: &Governed,
@@ -1987,31 +1983,28 @@ fn build_and_verify(
         .validate()
         .map_err(|e| build_err(format!("frame: {e}")))?;
 
-    let differential_probe = |frame: &Frame| -> Result<(), PublishRefusal> {
-        let mut rng = StdRng::seed_from_u64(path_id ^ 0xA5A5_5A5A);
-        let live_ins: Vec<Val> = frame
-            .live_ins
-            .iter()
-            .map(|li| draw_live_in(&mut rng, li.ty))
-            .collect();
-        let mut mem = g.entry.memory.clone();
-        let snap = mem.snapshot();
-        let outcome = run_frame_with(frame, &live_ins, &mut mem, None)
-            .map_err(|e| build_err(format!("probe exec: {e:?}")))?;
-        let verdict = verify_invocation(func, frame, &live_ins, &snap, &mem, &outcome)
-            .map_err(|e| build_err(format!("probe verify: {e:?}")))?;
-        if !verdict.is_clean() {
-            return Err(build_err(format!(
-                "differential probe diverged at {} site(s)",
-                verdict.divergences.len()
-            )));
-        }
-        Ok(())
-    };
-
     match cfg.verify {
-        VerifyPolicy::Differential => differential_probe(&frame)?,
-        VerifyPolicy::PreferSymbolic | VerifyPolicy::RequireProof => {
+        VerifyPolicy::Differential => {
+            let mut rng = StdRng::seed_from_u64(path_id ^ 0xA5A5_5A5A);
+            let live_ins: Vec<Val> = frame
+                .live_ins
+                .iter()
+                .map(|li| draw_live_in(&mut rng, li.ty))
+                .collect();
+            let mut mem = g.entry.memory.clone();
+            let snap = mem.snapshot();
+            let outcome = run_frame_with(&frame, &live_ins, &mut mem, None)
+                .map_err(|e| build_err(format!("probe exec: {e:?}")))?;
+            let verdict = verify_invocation(func, &frame, &live_ins, &snap, &mem, &outcome)
+                .map_err(|e| build_err(format!("probe verify: {e:?}")))?;
+            if !verdict.is_clean() {
+                return Err(build_err(format!(
+                    "differential probe diverged at {} site(s)",
+                    verdict.divergences.len()
+                )));
+            }
+        }
+        VerifyPolicy::RequireProof => {
             let start = Instant::now();
             let attempt = certify_frame(func, &frame, &CertConfig::default());
             let solve_us = start.elapsed().as_micros() as u64;
@@ -2022,9 +2015,9 @@ fn build_and_verify(
                 }
                 Err(e) => return Err(build_err(format!("certifier: {e}"))),
             };
-            match (cfg.verify, verdict) {
-                (_, CertVerdict::Proved) => {}
-                (_, CertVerdict::Refuted(cex)) => {
+            match verdict {
+                CertVerdict::Proved => {}
+                CertVerdict::Refuted(cex) => {
                     return Err(refuse(
                         EventKind::CertRefused,
                         format!(
@@ -2034,18 +2027,11 @@ fn build_and_verify(
                         ),
                     ));
                 }
-                (VerifyPolicy::RequireProof, CertVerdict::Timeout { why })
-                | (VerifyPolicy::RequireProof, CertVerdict::Unsupported { why }) => {
+                CertVerdict::Timeout { why } | CertVerdict::Unsupported { why } => {
                     return Err(refuse(
                         EventKind::CertRefused,
                         format!("unproven under require-proof: {why}"),
                     ));
-                }
-                (_, CertVerdict::Timeout { why }) | (_, CertVerdict::Unsupported { why }) => {
-                    // PreferSymbolic: fall back to the concrete probe,
-                    // recording why the proof attempt stopped short.
-                    let _ = why;
-                    differential_probe(&frame)?;
                 }
             }
         }
@@ -2053,799 +2039,10 @@ fn build_and_verify(
     Ok(frame)
 }
 
-// ---------------------------------------------------------------------
-// Soak / chaos driver
-// ---------------------------------------------------------------------
-
-/// Soak parameters. The request stream is a pure function of `seed`.
-#[derive(Debug, Clone)]
-pub struct SoakConfig {
-    /// Stream seed.
-    pub seed: u64,
-    /// Requests in the main phase (the breaker prelude/recovery phases
-    /// add a handful more).
-    pub requests: u64,
-    /// Inject chaos: worker panics, guard failures, deadline storms.
-    pub chaos: bool,
-    /// Service under test.
-    pub serve: ServeConfig,
-}
-
-impl Default for SoakConfig {
-    fn default() -> SoakConfig {
-        SoakConfig {
-            seed: 42,
-            requests: 1_000,
-            chaos: true,
-            serve: ServeConfig {
-                // Small breaker so the deterministic prelude trips it
-                // quickly, and short deadlines so storms resolve fast.
-                breaker: StormConfig {
-                    threshold: 3,
-                    cooldown: 2,
-                    retry_budget: 4,
-                },
-                default_deadline_ms: 2_000,
-                drain_ms: 5_000,
-                ..ServeConfig::default()
-            },
-        }
-    }
-}
-
-/// End-of-soak verdict.
-#[derive(Debug, Clone)]
-pub struct SoakReport {
-    /// Stream seed.
-    pub seed: u64,
-    /// Requests the driver submitted (accepted + shed-at-admission).
-    pub submitted: u64,
-    /// Requests the service accepted.
-    pub accepted: u64,
-    /// Terminal responses received.
-    pub responses: u64,
-    /// Final service metrics.
-    pub metrics: MetricsSnapshot,
-    /// Invariant violations (empty = pass).
-    pub violations: Vec<String>,
-}
-
-impl SoakReport {
-    /// No invariant was violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The report as a JSON value in the shared `needle-report/v1`
-    /// envelope — the benchmark artifact the adaptive soak writes
-    /// (`results/BENCH_adapt.json`): headline counters plus the
-    /// governor's promote/demote timeline.
-    pub fn to_json(&self) -> Json {
-        self.to_json_as("adaptive-soak")
-    }
-
-    /// Same payload under an explicit report `kind` (the plain chaos soak
-    /// and the adaptive soak share this shape).
-    pub fn to_json_as(&self, kind: &str) -> Json {
-        let g = &self.metrics.governor;
-        let timeline = Json::Arr(
-            g.timeline
-                .iter()
-                .map(|e| {
-                    Json::Obj(vec![
-                        ("epoch".into(), Json::Int(e.epoch as i64)),
-                        ("kind".into(), Json::Str(e.kind.to_string())),
-                        ("workload".into(), Json::Str(e.workload.clone())),
-                        ("detail".into(), Json::Str(e.detail.clone())),
-                    ])
-                })
-                .collect(),
-        );
-        let regions = Json::Arr(
-            self.metrics
-                .active_regions
-                .iter()
-                .map(|(w, id)| {
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str(w.clone())),
-                        ("path_id".into(), Json::Int(*id as i64)),
-                    ])
-                })
-                .collect(),
-        );
-        let data = Json::Obj(vec![
-            ("submitted".into(), Json::Int(self.submitted as i64)),
-            ("accepted".into(), Json::Int(self.accepted as i64)),
-            ("responses".into(), Json::Int(self.responses as i64)),
-            ("completed".into(), Json::Int(self.metrics.completed as i64)),
-            ("failed".into(), Json::Int(self.metrics.failed as i64)),
-            ("frame_aborts".into(), Json::Int(self.metrics.frame_aborts as i64)),
-            (
-                "latency_p50_us".into(),
-                Json::Int(self.metrics.latency.percentile_us(0.50) as i64),
-            ),
-            (
-                "latency_p99_us".into(),
-                Json::Int(self.metrics.latency.percentile_us(0.99) as i64),
-            ),
-            (
-                "latency_p999_us".into(),
-                Json::Int(self.metrics.latency.percentile_us(0.999) as i64),
-            ),
-            ("epochs".into(), Json::Int(g.epochs as i64)),
-            ("swaps".into(), Json::Int(g.swaps as i64)),
-            ("promotions".into(), Json::Int(g.promotions as i64)),
-            ("switches".into(), Json::Int(g.switches as i64)),
-            ("demotions".into(), Json::Int(g.demotions as i64)),
-            ("failures_pinned".into(), Json::Int(g.failures as i64)),
-            ("malformed_epochs".into(), Json::Int(g.malformed_epochs as i64)),
-            ("frame_build_errors".into(), Json::Int(g.frame_build_errors as i64)),
-            ("region_epoch".into(), Json::Int(self.metrics.region_epoch as i64)),
-            ("active_regions".into(), regions),
-            ("timeline".into(), timeline),
-        ]);
-        report::envelope(kind, self.seed, &self.violations, data)
-    }
-}
-
-impl std::fmt::Display for SoakReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "soak (seed {}): {} submitted, {} accepted, {} responses",
-            self.seed, self.submitted, self.accepted, self.responses
-        )?;
-        writeln!(f, "{}", self.metrics)?;
-        if self.metrics.governor.active() {
-            writeln!(f, "governor timeline:")?;
-            for e in &self.metrics.governor.timeline {
-                writeln!(
-                    f,
-                    "  epoch {:>3} {} {} {}",
-                    e.epoch, e.kind, e.workload, e.detail
-                )?;
-            }
-        }
-        if self.is_clean() {
-            write!(f, "verdict: CLEAN — every accepted request answered exactly once")
-        } else {
-            writeln!(f, "verdict: VIOLATED")?;
-            for v in &self.violations {
-                writeln!(f, "  - {v}")?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// The soak drivers' side of the exactly-once check: the requests offered,
-/// the ids the service accepted, and how many responses each has
-/// received. Shared with the shard-chaos soak driver ([`crate::shard`]).
-pub(crate) struct Ledger {
-    pub(crate) accepted: HashMap<u64, u64>,
-    pub(crate) responses: u64,
-    pub(crate) violations: Vec<String>,
-    /// Requests offered, each counted once however often it was retried.
-    pub(crate) submitted: u64,
-    next_id: u64,
-}
-
-impl Ledger {
-    pub(crate) fn new() -> Ledger {
-        Ledger {
-            accepted: HashMap::new(),
-            responses: 0,
-            violations: Vec::new(),
-            submitted: 0,
-            next_id: 1,
-        }
-    }
-
-    /// A fresh request id.
-    pub(crate) fn next_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Offer `req`, recording acceptance. While the service refuses it for
-    /// a reason `retry` covers, drain responses, back off 200 µs and
-    /// resubmit, for at most 30 s. Returns whether it was accepted.
-    pub(crate) fn offer(
-        &mut self,
-        submit: &dyn Fn(Request) -> Result<(), ShedReason>,
-        rx: &Receiver<Response>,
-        req: Request,
-        retry: impl Fn(ShedReason) -> bool,
-    ) -> bool {
-        self.submitted += 1;
-        let t0 = Instant::now();
-        loop {
-            match submit(req.clone()) {
-                Ok(()) => {
-                    self.accepted.insert(req.id, 0);
-                    return true;
-                }
-                Err(reason) if retry(reason) && t0.elapsed() < Duration::from_secs(30) => {
-                    self.drain(rx);
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// The drain tail: a burst of plain requests offered without waiting,
-    /// so shutdown finds them queued and must answer each as shed.
-    pub(crate) fn offer_tail(
-        &mut self,
-        submit: &dyn Fn(Request) -> Result<(), ShedReason>,
-        rx: &Receiver<Response>,
-    ) {
-        for _ in 0..8 {
-            let req = Request::new(self.next_id(), "svc.sum");
-            self.offer(submit, rx, req, |_| false);
-        }
-    }
-
-    pub(crate) fn on_response(&mut self, r: &Response) {
-        self.responses += 1;
-        match self.accepted.get_mut(&r.id) {
-            Some(n) => {
-                *n += 1;
-                if *n > 1 {
-                    self.violations
-                        .push(format!("request {} answered {} times (duplicate)", r.id, n));
-                }
-            }
-            None => self
-                .violations
-                .push(format!("response for request {} that was never accepted", r.id)),
-        }
-    }
-
-    pub(crate) fn drain(&mut self, rx: &Receiver<Response>) {
-        loop {
-            match rx.try_recv() {
-                Ok(r) => self.on_response(&r),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return,
-            }
-        }
-    }
-
-    /// Block until the given id has a response (drains everything else
-    /// it sees on the way).
-    pub(crate) fn wait_for(&mut self, rx: &Receiver<Response>, id: u64) {
-        while self.accepted.get(&id).copied().unwrap_or(1) == 0 {
-            match rx.recv_timeout(Duration::from_secs(30)) {
-                Ok(r) => self.on_response(&r),
-                Err(_) => {
-                    self.violations
-                        .push(format!("request {id} never answered (lost)"));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The exactly-once verdict once the service has shut down and its
-    /// responses are drained: every response matched an accepted id at
-    /// most once, every accepted id was answered, the service's counters
-    /// balance (`imbalance`), and the service's accepted count, when given,
-    /// matches the driver's (`who` names the service in the message).
-    pub(crate) fn verify(
-        &mut self,
-        who: &str,
-        accepted: Option<u64>,
-        imbalance: Option<String>,
-    ) -> Vec<String> {
-        let mut violations = std::mem::take(&mut self.violations);
-        for (id, n) in &self.accepted {
-            if *n == 0 {
-                violations.push(format!("request {id} accepted but never answered (lost)"));
-            }
-        }
-        violations.extend(imbalance);
-        if let Some(n) = accepted.filter(|n| *n != self.accepted.len() as u64) {
-            violations.push(format!(
-                "{who} accepted {n} but driver recorded {}",
-                self.accepted.len()
-            ));
-        }
-        violations
-    }
-}
-
-/// One request of the soaks' seeded mixed load: mostly `svc.sum`, with
-/// memory and fuel pressure, and under `chaos` a runaway-loop deadline
-/// storm plus a 2% chance of an injected worker panic.
-pub(crate) fn mixed_request(rng: &mut StdRng, id: u64, chaos: bool) -> Request {
-    let roll: f64 = rng.gen_range(0.0..1.0);
-    let mut req = if roll < 0.55 {
-        Request::new(id, "svc.sum")
-    } else if roll < 0.70 {
-        // Memory-governor pressure: a page cap below the stride count is
-        // a deterministic MemLimit.
-        let mut r = Request::new(id, "svc.mem");
-        if chaos && rng.gen_bool(0.5) {
-            r.max_pages = rng.gen_range(1usize..6);
-        }
-        r
-    } else if roll < 0.80 {
-        // Fuel pressure: a tiny budget is a deterministic StepLimit.
-        let mut r = Request::new(id, "svc.sum");
-        if chaos {
-            r.fuel = rng.gen_range(1u64..64);
-        }
-        r
-    } else if chaos && roll < 0.88 {
-        // Deadline storm: a runaway loop with a short deadline and
-        // practically-unbounded fuel — only cancellation stops it.
-        let mut r = Request::new(id, "999.loop");
-        r.deadline_ms = rng.gen_range(2u64..10);
-        r.fuel = u64::MAX / 4;
-        r
-    } else {
-        Request::new(id, "svc.flaky")
-    };
-    if chaos && rng.gen_bool(0.02) {
-        req.fault = Some(InjectedFault::PanicWorker);
-    }
-    req
-}
-
-/// Drive a seeded soak: a deterministic breaker-trip prelude, a probed
-/// recovery, a chaos main phase, and a drain tail; then verify that
-/// every accepted request was answered exactly once and the counters
-/// balance.
-pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, NeedleError> {
-    let service = Service::start(cfg.serve.clone())?;
-    let (tx, rx) = std::sync::mpsc::channel::<Response>();
-    let submit = |r: Request| service.submit(r, &tx);
-    let mut ledger = Ledger::new();
-
-    // Phase 1 (chaos): a deterministic panic storm on one function trips
-    // its breaker — `threshold` consecutive poisons, submitted
-    // sequentially so the streak cannot interleave.
-    if cfg.chaos {
-        for _ in 0..cfg.serve.breaker.threshold.max(1) {
-            let mut req = Request::new(ledger.next_id(), "svc.flaky");
-            req.fault = Some(InjectedFault::PanicWorker);
-            let id = req.id;
-            if ledger.offer(&submit, &rx, req, |_| false) {
-                ledger.wait_for(&rx, id);
-            }
-        }
-        // Phase 2: sequential clean requests ride the open breaker
-        // through its cooldown on the reference walker, then the probe
-        // executes clean and recovers it.
-        for _ in 0..cfg.serve.breaker.cooldown + 2 {
-            let req = Request::new(ledger.next_id(), "svc.flaky");
-            let id = req.id;
-            if ledger.offer(&submit, &rx, req, |_| false) {
-                ledger.wait_for(&rx, id);
-            }
-        }
-    }
-
-    // Phase 3: the seeded main mix, plus guard failures on the frame leg.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let frame_leg = cfg.serve.frame_workload.as_ref();
-    for _ in 0..cfg.requests {
-        let mut req = mixed_request(&mut rng, ledger.next_id(), cfg.chaos);
-        if cfg.chaos
-            && req.fault.is_none()
-            && frame_leg == Some(&req.workload)
-            && rng.gen_bool(0.05)
-        {
-            req.fault = Some(InjectedFault::GuardFail);
-        }
-        // Backpressure: a full queue means the driver is ahead of the
-        // pool — drain responses and retry instead of fire-and-forget
-        // (queue-full shedding itself is still exercised: retries hit
-        // the typed shed path, and the drain-tail burst below queues
-        // without waiting). `submitted` counts requests, not attempts,
-        // so the stream stays a pure function of the seed.
-        ledger.offer(&submit, &rx, req, |r| r == ShedReason::QueueFull);
-        ledger.drain(&rx);
-    }
-
-    // Phase 4: drain tail — leave a burst in the queue, then shut down;
-    // queued leftovers must come back as shed, not vanish.
-    ledger.offer_tail(&submit, &rx);
-    let metrics = service.shutdown();
-    ledger.drain(&rx);
-
-    let mut violations = ledger.verify("service", Some(metrics.accepted), metrics.imbalance());
-    if cfg.chaos {
-        if metrics.trips() == 0 {
-            violations.push("chaos soak never tripped a breaker".into());
-        }
-        if metrics.recoveries() == 0 {
-            violations.push("chaos soak never recovered a breaker".into());
-        }
-    }
-
-    Ok(SoakReport {
-        seed: cfg.seed,
-        submitted: ledger.submitted,
-        accepted: metrics.accepted,
-        responses: ledger.responses,
-        metrics,
-        violations,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Adaptive phase-shift soak
-// ---------------------------------------------------------------------
-
-/// Parameters for the adaptive (governor-enabled) phase-shift soak.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSoakConfig {
-    /// Stream seed (the request mix is a pure function of it).
-    pub seed: u64,
-    /// `0` or `1` = a single service; `>= 2` = the sharded router with
-    /// one governor per shard.
-    pub shards: usize,
-    /// Per-stage request budget: each milestone stage records a
-    /// violation and moves on once it has pumped this many requests
-    /// without reaching its milestone.
-    pub phase_requests: u64,
-    /// Governor policy under test (the default injects a re-rank panic
-    /// at epoch 2 as the graceful-degradation drill).
-    pub governor: GovernorConfig,
-    /// Service template.
-    pub serve: ServeConfig,
-}
-
-impl Default for AdaptiveSoakConfig {
-    fn default() -> AdaptiveSoakConfig {
-        AdaptiveSoakConfig {
-            seed: 42,
-            shards: 0,
-            phase_requests: 3_000,
-            governor: GovernorConfig {
-                epoch_requests: 120,
-                sample_period: 2,
-                demote_abort_rate: 0.35,
-                cooldown_epochs: 2,
-                min_stability: 0.2,
-                min_path_freq: 4,
-                tick_ms: 1,
-                inject_rerank_panic_at_epoch: Some(2),
-                ..GovernorConfig::default()
-            },
-            serve: ServeConfig {
-                workers: 2,
-                breaker: StormConfig {
-                    threshold: 3,
-                    cooldown: 2,
-                    retry_budget: 4,
-                },
-                default_deadline_ms: 2_000,
-                drain_ms: 5_000,
-                // The governor owns region selection end to end: start
-                // with an empty epoch-0 table so stage 1 observes the
-                // promotion happen live.
-                frame_workload: None,
-                ..ServeConfig::default()
-            },
-        }
-    }
-}
-
-/// The service under adaptive soak: one resident service or the sharded
-/// router (each shard running its own governor).
-enum AdaptiveSvc {
-    One(Service),
-    Sharded(crate::shard::ShardedService),
-}
-
-impl AdaptiveSvc {
-    fn start(cfg: &AdaptiveSoakConfig) -> Result<AdaptiveSvc, NeedleError> {
-        let mut serve = cfg.serve.clone();
-        serve.adaptive = Some(cfg.governor.clone());
-        if cfg.shards >= 2 {
-            let shard_cfg = crate::shard::ShardServeConfig {
-                policy: crate::config::ShardPolicy {
-                    shards: cfg.shards,
-                    ..crate::config::ShardPolicy::default()
-                },
-                serve,
-                ledger: None,
-            };
-            Ok(AdaptiveSvc::Sharded(crate::shard::ShardedService::start(
-                shard_cfg,
-            )?))
-        } else {
-            Ok(AdaptiveSvc::One(Service::start(serve)?))
-        }
-    }
-
-    fn submit(&self, req: Request, reply: &Sender<Response>) -> Result<(), ShedReason> {
-        match self {
-            AdaptiveSvc::One(s) => s.submit(req, reply),
-            AdaptiveSvc::Sharded(s) => s.submit(req, reply),
-        }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            AdaptiveSvc::One(s) => s.metrics(),
-            AdaptiveSvc::Sharded(s) => s.metrics().rollup(),
-        }
-    }
-
-    fn shutdown(self) -> MetricsSnapshot {
-        match self {
-            AdaptiveSvc::One(s) => s.shutdown(),
-            AdaptiveSvc::Sharded(s) => s.shutdown().rollup(),
-        }
-    }
-}
-
-/// Path ids currently offloaded for `workload` (union across shards).
-fn region_ids(m: &MetricsSnapshot, workload: &str) -> Vec<u64> {
-    m.active_regions
-        .iter()
-        .filter(|(w, _)| w == workload)
-        .map(|(_, id)| *id)
-        .collect()
-}
-
-/// Pump seeded request batches until `done` is true or the stage budget
-/// runs out. Returns whether the milestone was reached.
-#[allow(clippy::too_many_arguments)]
-fn pump_stage(
-    svc: &AdaptiveSvc,
-    tx: &Sender<Response>,
-    rx: &Receiver<Response>,
-    ledger: &mut Ledger,
-    rng: &mut StdRng,
-    budget: u64,
-    mut make: impl FnMut(u64, &mut StdRng) -> Request,
-    done: impl Fn(&MetricsSnapshot) -> bool,
-) -> bool {
-    let submit = |r: Request| svc.submit(r, tx);
-    let mut sent = 0u64;
-    while sent < budget {
-        for _ in 0..32 {
-            if sent >= budget {
-                break;
-            }
-            let req = make(ledger.next_id(), rng);
-            sent += 1;
-            ledger.offer(&submit, rx, req, |r| r == ShedReason::QueueFull);
-            ledger.drain(rx);
-        }
-        if done(&svc.metrics()) {
-            return true;
-        }
-    }
-    done(&svc.metrics())
-}
-
-/// The adaptive offload soak: a four-stage, milestone-driven drive of
-/// the governor under live traffic.
-///
-/// 1. **Promote** — `svc.phase` traffic with a fat-arm-hot threshold;
-///    the governor must observe it through the sampled path profiler
-///    and hot-swap its top path in.
-/// 2. **Flip** — the per-request bias knob moves the hot arm; the
-///    governor must *re-select* live, displacing the installed region
-///    past the switch margin without draining the service.
-/// 3. **Storm** — injected guard failures abort every frame invocation;
-///    the abort-rate feedback must demote the region within an epoch,
-///    and the cooldown ledger must bar immediate re-promotion.
-/// 4. **Recover** — clean traffic after the cooldown re-promotes.
-///
-/// Along the way the default config injects a re-rank panic (epoch 2):
-/// the governor thread must absorb it, pin last-known-good, and keep
-/// the service answering. The exactly-once ledger runs the whole time;
-/// any lost/duplicate response, counter imbalance, missed milestone, or
-/// hysteresis violation lands in [`SoakReport::violations`].
-///
-/// # Errors
-/// Propagates service/router startup failures only; everything after
-/// startup is reported through the verdict.
-pub fn run_adaptive_soak(cfg: &AdaptiveSoakConfig) -> Result<SoakReport, NeedleError> {
-    let sharded = cfg.shards >= 2;
-    let svc = AdaptiveSvc::start(cfg)?;
-    let (tx, rx) = std::sync::mpsc::channel::<Response>();
-    let mut ledger = Ledger::new();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut violations: Vec<String> = Vec::new();
-    let budget = cfg.phase_requests.max(64);
-
-    // Stage 1: promote. Fat-arm-hot phase traffic plus background mix.
-    let reached = pump_stage(
-        &svc,
-        &tx,
-        &rx,
-        &mut ledger,
-        &mut rng,
-        budget,
-        |id, rng| {
-            let mut r = if rng.gen_bool(0.8) {
-                let mut r = Request::new(id, "svc.phase");
-                r.arg = Some(90);
-                r
-            } else {
-                Request::new(id, "svc.sum")
-            };
-            r.deadline_ms = 0;
-            r
-        },
-        |m| m.governor.promotions >= 1 && !region_ids(m, "svc.phase").is_empty(),
-    );
-    if !reached {
-        violations.push("stage 1 (promote): svc.phase never offloaded within budget".into());
-    }
-    let initial_ids = region_ids(&svc.metrics(), "svc.phase");
-
-    // Stage 2: flip the bias knob; the hot Ball-Larus path moves and the
-    // governor must switch the live region without a drain.
-    let reached = pump_stage(
-        &svc,
-        &tx,
-        &rx,
-        &mut ledger,
-        &mut rng,
-        budget,
-        |id, rng| {
-            let mut r = if rng.gen_bool(0.8) {
-                let mut r = Request::new(id, "svc.phase");
-                r.arg = Some(8);
-                r
-            } else {
-                Request::new(id, "svc.sum")
-            };
-            r.deadline_ms = 0;
-            r
-        },
-        |m| {
-            m.governor.switches >= 1
-                && region_ids(m, "svc.phase")
-                    .iter()
-                    .any(|id| !initial_ids.contains(id))
-        },
-    );
-    if !reached {
-        violations.push(
-            "stage 2 (flip): phase shift never re-selected the svc.phase region".into(),
-        );
-    }
-
-    // Stage 3: guard-failure storm. Every frame invocation for svc.phase
-    // aborts; the abort-rate feedback must tear the region out.
-    let demotions_before = svc.metrics().governor.demotions;
-    let reached = pump_stage(
-        &svc,
-        &tx,
-        &rx,
-        &mut ledger,
-        &mut rng,
-        budget,
-        |id, _| {
-            let mut r = Request::new(id, "svc.phase");
-            r.arg = Some(8);
-            r.fault = Some(InjectedFault::GuardFail);
-            r
-        },
-        |m| {
-            m.governor.demotions > demotions_before
-                && (sharded || region_ids(m, "svc.phase").is_empty())
-        },
-    );
-    if !reached {
-        violations.push("stage 3 (storm): aborting region was never demoted".into());
-    }
-
-    // Stage 4: clean traffic again. After the cooldown the governor must
-    // re-promote (single-service mode; the sharded union can't observe
-    // one shard's absence, so there the stage just exercises recovery).
-    let promotions_before = svc.metrics().governor.promotions;
-    let reached = pump_stage(
-        &svc,
-        &tx,
-        &rx,
-        &mut ledger,
-        &mut rng,
-        budget,
-        |id, _| {
-            let mut r = Request::new(id, "svc.phase");
-            r.arg = Some(8);
-            r
-        },
-        |m| {
-            m.governor.promotions > promotions_before
-                && !region_ids(m, "svc.phase").is_empty()
-        },
-    );
-    if !sharded && !reached {
-        violations.push("stage 4 (recover): region never re-promoted after cooldown".into());
-    }
-
-    let metrics = svc.shutdown();
-    ledger.drain(&rx);
-
-    // Exactly-once verification, same discipline as `run_soak`.
-    violations.extend(ledger.verify(
-        "service",
-        (!sharded).then_some(metrics.accepted),
-        metrics.imbalance(),
-    ));
-
-    // Governor-specific verdicts.
-    let g = &metrics.governor;
-    if g.swaps < 2 {
-        violations.push(format!(
-            "expected at least 2 live region swaps (promote + re-select), saw {}",
-            g.swaps
-        ));
-    }
-    if cfg.governor.inject_rerank_panic_at_epoch.is_some() {
-        if g.failures == 0 {
-            violations.push("injected re-rank panic was never absorbed".into());
-        }
-        if !g.timeline.iter().any(|e| e.kind == EventKind::Pinned) {
-            violations.push("no pinned-last-known-good event on the timeline".into());
-        }
-    }
-    if cfg.governor.inject_malformed_epoch_at.is_some() && g.malformed_epochs == 0 {
-        violations.push("injected malformed epoch was never detected".into());
-    }
-    if cfg.governor.verify != VerifyPolicy::Differential && g.cert.proved == 0 {
-        violations.push(format!(
-            "verify policy {} published regions but never proved a frame",
-            cfg.governor.verify
-        ));
-    }
-    if cfg.governor.inject_miscompile_at_epoch.is_some() {
-        if g.cert_refusals == 0 {
-            violations.push("injected miscompile was never refused by the cert gate".into());
-        }
-        if !g.timeline.iter().any(|e| e.kind == EventKind::CertRefused) {
-            violations.push("no cert-refused event on the timeline".into());
-        }
-    }
-    // Hysteresis: no svc.phase promotion may land inside a demotion
-    // cooldown window. Single-service only: a sharded rollup interleaves
-    // independent per-shard epoch counters, so cross-shard comparisons
-    // are meaningless.
-    let mut barred_until = 0u64;
-    for e in g.timeline.iter().filter(|_| !sharded) {
-        if e.workload != "svc.phase" {
-            continue;
-        }
-        match e.kind {
-            EventKind::Demoted => {
-                barred_until = barred_until.max(e.epoch + cfg.governor.cooldown_epochs);
-            }
-            EventKind::Promoted | EventKind::Switched if e.epoch < barred_until => {
-                violations.push(format!(
-                    "hysteresis violated: {} at epoch {} inside cooldown (until {})",
-                    e.kind, e.epoch, barred_until
-                ));
-            }
-            _ => {}
-        }
-    }
-
-    Ok(SoakReport {
-        seed: cfg.seed,
-        submitted: ledger.submitted,
-        accepted: metrics.accepted,
-        responses: ledger.responses,
-        metrics,
-        violations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soak::{adaptive_governor, run_soak, SoakConfig, SoakScenario};
 
     fn quick_serve() -> ServeConfig {
         ServeConfig {
@@ -2982,8 +2179,8 @@ mod tests {
         let cfg = SoakConfig {
             seed: 7,
             requests: 200,
-            chaos: false,
             serve: quick_serve(),
+            ..SoakConfig::new(SoakScenario::Mixed { chaos: false })
         };
         let r = run_soak(&cfg).unwrap();
         assert!(r.is_clean(), "{r}");
@@ -2995,8 +2192,8 @@ mod tests {
         let cfg = SoakConfig {
             seed: 42,
             requests: 400,
-            chaos: true,
             serve: quick_serve(),
+            ..SoakConfig::new(SoakScenario::Mixed { chaos: true })
         };
         let r = run_soak(&cfg).unwrap();
         assert!(r.is_clean(), "{r}");
@@ -3101,16 +2298,15 @@ mod tests {
 
     #[test]
     fn adaptive_soak_hot_swaps_demotes_and_survives_rerank_panic() {
-        let cfg = AdaptiveSoakConfig {
+        let cfg = SoakConfig {
             seed: 7,
-            phase_requests: 1_500,
-            governor: GovernorConfig {
+            requests: 4 * 1_500,
+            ..SoakConfig::new(SoakScenario::Adaptive(GovernorConfig {
                 epoch_requests: 60,
-                ..AdaptiveSoakConfig::default().governor
-            },
-            ..AdaptiveSoakConfig::default()
+                ..adaptive_governor()
+            }))
         };
-        let r = run_adaptive_soak(&cfg).unwrap();
+        let r = run_soak(&cfg).unwrap();
         assert!(r.is_clean(), "{r}");
         let g = &r.metrics.governor;
         assert!(g.swaps >= 2, "{r}");
@@ -3126,19 +2322,18 @@ mod tests {
         // symbolic proof, and the one deliberately miscompiled build is
         // refuted at the gate — the incumbent keeps serving and the
         // soak still hits every milestone.
-        let cfg = AdaptiveSoakConfig {
+        let cfg = SoakConfig {
             seed: 11,
-            phase_requests: 1_500,
-            governor: GovernorConfig {
+            requests: 4 * 1_500,
+            ..SoakConfig::new(SoakScenario::Adaptive(GovernorConfig {
                 epoch_requests: 60,
                 inject_rerank_panic_at_epoch: None,
                 verify: VerifyPolicy::RequireProof,
                 inject_miscompile_at_epoch: Some(1),
-                ..AdaptiveSoakConfig::default().governor
-            },
-            ..AdaptiveSoakConfig::default()
+                ..adaptive_governor()
+            }))
         };
-        let r = run_adaptive_soak(&cfg).unwrap();
+        let r = run_soak(&cfg).unwrap();
         assert!(r.is_clean(), "{r}");
         let g = &r.metrics.governor;
         assert!(g.cert.proved >= 1, "{r}");
@@ -3157,8 +2352,8 @@ mod tests {
         let cfg = SoakConfig {
             seed: 1234,
             requests: 150,
-            chaos: true,
             serve: quick_serve(),
+            ..SoakConfig::new(SoakScenario::Mixed { chaos: true })
         };
         let a = run_soak(&cfg).unwrap();
         let b = run_soak(&cfg).unwrap();

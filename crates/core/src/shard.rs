@@ -47,15 +47,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::config::ShardPolicy;
 use crate::error::NeedleError;
 use crate::journal::{self, fnv1a64, Journal, Json};
 use crate::serve::{
-    mixed_request, FailReason, InjectedFault, Ledger, MetricsSnapshot, Outcome, Request, Response,
-    ServeConfig, Service, ShedReason,
+    FailReason, MetricsSnapshot, Outcome, Request, Response, ServeConfig, Service, ShedReason,
 };
 use crate::supervisor::jittered_backoff;
 use crate::sync::plock;
@@ -1168,271 +1164,6 @@ pub fn audit_ledger(path: &Path) -> Result<LedgerAudit, NeedleError> {
     audit.resolved = dones.len() as u64;
     audit.unresolved = accs.keys().filter(|id| !dones.contains_key(id)).count() as u64;
     Ok(audit)
-}
-
-// ---------------------------------------------------------------------------
-// Shard-chaos soak
-
-/// Knobs for [`run_shard_soak`].
-#[derive(Debug, Clone)]
-pub struct ShardSoakConfig {
-    /// Stream seed: the submitted request sequence and the chaos
-    /// schedule are pure functions of it.
-    pub seed: u64,
-    /// Main-phase request count (clamped up to a minimum that keeps
-    /// the chaos schedule meaningful).
-    pub requests: u64,
-    /// Inject shard kills, a wedge, and a mid-burst rebalance. Off,
-    /// the sharded service runs a plain mixed load.
-    pub shard_chaos: bool,
-    /// Sharded-service configuration (shard count, per-shard service
-    /// template, optional durable ledger path — an existing file at
-    /// that path is removed first so each soak audits its own run).
-    pub sharded: ShardServeConfig,
-}
-
-impl Default for ShardSoakConfig {
-    fn default() -> ShardSoakConfig {
-        ShardSoakConfig {
-            seed: 42,
-            requests: 1_000,
-            shard_chaos: true,
-            sharded: ShardServeConfig::default(),
-        }
-    }
-}
-
-/// What a shard soak did and whether exactly-once held everywhere.
-#[derive(Debug, Clone)]
-pub struct ShardSoakReport {
-    /// Stream seed.
-    pub seed: u64,
-    /// Requests the driver submitted (admitted + refused).
-    pub submitted: u64,
-    /// Keys the router admitted.
-    pub accepted: u64,
-    /// Responses the driver received.
-    pub responses: u64,
-    /// Final service metrics (router + per-shard rows).
-    pub metrics: ShardedMetrics,
-    /// External replay of the durable ledger, when one was configured.
-    pub ledger_audit: Option<LedgerAudit>,
-    /// Everything that broke; empty means the soak was clean.
-    pub violations: Vec<String>,
-}
-
-impl ShardSoakReport {
-    /// No violations anywhere.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl std::fmt::Display for ShardSoakReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "shard soak seed {}: submitted {} accepted {} responses {}",
-            self.seed, self.submitted, self.accepted, self.responses
-        )?;
-        write!(f, "{}", self.metrics)?;
-        if let Some(a) = &self.ledger_audit {
-            writeln!(
-                f,
-                "ledger audit: {} admitted, {} resolved, {} unresolved, {} violations",
-                a.accepted,
-                a.resolved,
-                a.unresolved,
-                a.violations.len()
-            )?;
-        }
-        for v in &self.violations {
-            writeln!(f, "VIOLATION: {v}")?;
-        }
-        if self.violations.is_empty() {
-            writeln!(f, "verdict: CLEAN")
-        } else {
-            writeln!(f, "verdict: VIOLATED ({})", self.violations.len())
-        }
-    }
-}
-
-/// Drive a seeded multi-shard soak: a mixed load with two crash-style
-/// shard kills (one aimed at a shard with known in-flight work, so
-/// failover is always exercised), one wedged worker the watchdog must
-/// detect, and one graceful rebalance mid-burst; then verify
-/// exactly-once three independent ways — the driver's in-memory
-/// ledger, the service's own counters, and an offline replay of the
-/// durable ledger.
-///
-/// # Errors
-/// Structural failures only (service or ledger could not start);
-/// guarantee violations land in the report, not in `Err`.
-pub fn run_shard_soak(cfg: &ShardSoakConfig) -> Result<ShardSoakReport, NeedleError> {
-    if let Some(path) = &cfg.sharded.ledger {
-        if path.exists() {
-            std::fs::remove_file(path)
-                .map_err(|e| NeedleError::Shard(format!("ledger reset: {e}")))?;
-        }
-    }
-    let svc = ShardedService::start(cfg.sharded.clone())?;
-    let (tx, rx) = std::sync::mpsc::channel::<Response>();
-    let submit = |r: Request| svc.submit(r, &tx);
-    let mut ledger = Ledger::new();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n_shards = cfg.sharded.policy.shards;
-    let reqs = cfg.requests.max(40);
-
-    // Chaos schedule: fixed fractions of the stream, targets drawn up
-    // front so the submitted sequence stays a pure function of the
-    // seed regardless of shard timing.
-    let kill1_at = reqs * 30 / 100;
-    let wedge_at = reqs * 50 / 100;
-    let kill2_at = reqs * 70 / 100;
-    let rebalance_at = reqs * 85 / 100;
-    // Keep the later chaos off the wedge's home shard: a kill or
-    // rebalance there would hard-release the wedged worker before the
-    // watchdog proves it can detect the overrun itself.
-    let wedge_home = svc.shard_for("svc.sum");
-    let kill2_shard = {
-        let s = rng.gen_range(0..n_shards);
-        if n_shards > 1 && s == wedge_home {
-            (s + 1) % n_shards
-        } else {
-            s
-        }
-    };
-    let rebalance_first_choice = (0..n_shards)
-        .find(|s| *s != wedge_home && *s != kill2_shard)
-        .unwrap_or_else(|| (wedge_home + 1) % n_shards.max(1));
-
-    // QueueFull is backpressure; Draining is a restart window with no
-    // live successor. Both clear.
-    let clears = |r: ShedReason| matches!(r, ShedReason::QueueFull | ShedReason::Draining);
-
-    for i in 0..reqs {
-        if cfg.shard_chaos && i == kill1_at {
-            // Park runaway loops on a known home shard, then crash
-            // exactly that shard: guaranteed orphaned in-flight work,
-            // so failover is exercised on every run.
-            let target = svc.shard_for("999.loop");
-            for _ in 0..3 {
-                let mut r = Request::new(ledger.next_id(), "999.loop");
-                r.deadline_ms = 400;
-                r.fuel = u64::MAX / 4;
-                ledger.offer(&submit, &rx, r, clears);
-            }
-            svc.kill_shard(target);
-        }
-        if cfg.shard_chaos && i == wedge_at {
-            // One wedged worker: ignores cancellation, released only
-            // by the supervisor's crash teardown of its shard. The
-            // deadline is short so the watchdog's overrun trips soon
-            // after the worker pops it (a wedge engages even on an
-            // expired job — stuck processes don't check deadlines).
-            // Admission retries every shed reason: a loaded home shard
-            // may report unmeetable, but the wedge must land.
-            let mut r = Request::new(ledger.next_id(), "svc.sum");
-            r.deadline_ms = 25;
-            r.fault = Some(InjectedFault::WedgeWorker);
-            ledger.offer(&submit, &rx, r, |_| true);
-        }
-        if cfg.shard_chaos && i == kill2_at {
-            // The seeded target may still be restarting from earlier
-            // chaos; fall back to another live shard (still avoiding
-            // the wedge's home) so the schedule always lands two kills.
-            if !svc.kill_shard(kill2_shard) {
-                for s in 0..n_shards {
-                    if s != kill2_shard && s != wedge_home && svc.kill_shard(s) {
-                        break;
-                    }
-                }
-            }
-        }
-        if cfg.shard_chaos && i == rebalance_at {
-            svc.rebalance_shard(rebalance_first_choice);
-        }
-
-        // The same mixed load as the single-shard soak, spread across
-        // shards by workload hash.
-        let req = mixed_request(&mut rng, ledger.next_id(), cfg.shard_chaos);
-        ledger.offer(&submit, &rx, req, clears);
-        ledger.drain(&rx);
-    }
-
-    // Give the chaos time to land before the drain: the wedge takes
-    // deadline + grace + a supervisor poll to detect, and parked
-    // failovers need their backoff to elapse.
-    if cfg.shard_chaos {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(10) {
-            let m = svc.router_metrics();
-            if m.wedges_detected >= 1 && m.kills >= 3 && m.restarts >= m.kills {
-                break;
-            }
-            ledger.drain(&rx);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    // Drain tail: leave a burst queued, then shut down — leftovers
-    // must come back shed, not vanish.
-    ledger.offer_tail(&submit, &rx);
-    let metrics = svc.shutdown();
-    ledger.drain(&rx);
-
-    let mut violations =
-        ledger.verify("router", Some(metrics.router.accepted), metrics.imbalance());
-    if cfg.shard_chaos {
-        let r = &metrics.router;
-        if r.kills < 3 {
-            violations.push(format!("chaos soak killed only {} shard generations (< 3)", r.kills));
-        }
-        if r.wedges_detected == 0 {
-            violations.push("chaos soak never detected the wedged worker".into());
-        }
-        if r.rebalances == 0 {
-            violations.push("chaos soak never rebalanced a shard".into());
-        }
-        if r.failovers == 0 {
-            violations.push("chaos soak never failed a request over to a successor".into());
-        }
-        if r.restarts == 0 {
-            violations.push("chaos soak never restarted a shard".into());
-        }
-    }
-    let ledger_audit = match &cfg.sharded.ledger {
-        None => None,
-        Some(path) => {
-            let audit = audit_ledger(path)?;
-            if !audit.is_clean() {
-                violations.extend(audit.violations.iter().cloned());
-                if audit.unresolved > 0 {
-                    violations.push(format!(
-                        "ledger left {} keys admitted but unresolved after a clean shutdown",
-                        audit.unresolved
-                    ));
-                }
-            }
-            if audit.accepted != metrics.router.accepted {
-                violations.push(format!(
-                    "ledger admitted {} keys but the router reports {}",
-                    audit.accepted, metrics.router.accepted
-                ));
-            }
-            Some(audit)
-        }
-    };
-
-    Ok(ShardSoakReport {
-        seed: cfg.seed,
-        submitted: ledger.submitted,
-        accepted: metrics.router.accepted,
-        responses: ledger.responses,
-        metrics,
-        ledger_audit,
-        violations,
-    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@ use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use needle::serve::{FailReason, InjectedFault, Outcome, Request, Response, ShedReason};
-use needle::shard::{audit_ledger, run_shard_soak, ShardSoakConfig, ShardServeConfig, ShardedService};
+use needle::shard::{audit_ledger, ShardServeConfig, ShardedService};
+use needle::soak::{run_soak, SoakConfig, SoakScenario};
 
 fn quick_sharded(shards: usize) -> ShardServeConfig {
     let mut cfg = ShardServeConfig::default();
@@ -234,17 +235,18 @@ fn exhausted_failover_resolves_as_shard_lost() {
 #[test]
 fn shard_chaos_soak_is_clean_and_deterministic() {
     let dir = scratch_dir("soak");
-    let mut cfg = ShardSoakConfig {
+    let cfg = SoakConfig {
         seed: 7,
         requests: 400,
-        ..ShardSoakConfig::default()
+        shards: 3,
+        serve: quick_sharded(3).serve,
+        ledger: Some(dir.join("soak-ledger.jsonl")),
+        ..SoakConfig::new(SoakScenario::ShardChaos)
     };
-    cfg.sharded = quick_sharded(3);
-    cfg.sharded.ledger = Some(dir.join("soak-ledger.jsonl"));
-    let a = run_shard_soak(&cfg).unwrap();
+    let a = run_soak(&cfg).unwrap();
     assert!(a.is_clean(), "{a}");
     assert!(a.ledger_audit.as_ref().unwrap().is_clean(), "{a}");
-    let b = run_shard_soak(&cfg).unwrap();
+    let b = run_soak(&cfg).unwrap();
     assert!(b.is_clean(), "{b}");
     assert_eq!(
         a.submitted, b.submitted,

@@ -412,14 +412,14 @@ fn shipped_and_generated_modules_are_verifier_clean() {
 /// shed_after_accept`).
 #[test]
 fn chaos_soak_is_exactly_once_for_any_seed() {
-    use needle::{run_soak, ServeConfig, SoakConfig, StormConfig};
+    use needle::{run_soak, ServeConfig, SoakConfig, SoakScenario, StormConfig};
     let mut rng = StdRng::seed_from_u64(0x1B16);
     for case in 0..4 {
         let seed = rng.gen_range(0u64..u64::MAX);
         let cfg = SoakConfig {
             seed,
             requests: 120,
-            chaos: true,
+            scenario: SoakScenario::Mixed { chaos: true },
             serve: ServeConfig {
                 workers: 2,
                 queue_depth: 16,
@@ -431,6 +431,7 @@ fn chaos_soak_is_exactly_once_for_any_seed() {
                 drain_ms: 5_000,
                 ..ServeConfig::default()
             },
+            ..SoakConfig::default()
         };
         let report = run_soak(&cfg).unwrap();
         assert!(
