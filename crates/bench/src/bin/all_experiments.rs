@@ -22,12 +22,10 @@ fn main() {
         "hls_area",
         "sampling_bias",
         "workload_table",
-        "ablation_guard_policy",
         "ablation_expansion",
         "ablation_braid_width",
         "ablation_fabric",
         "ablation_predictor",
-        "ablation_frame_dce",
         "braid_vs_pathtree",
         "train_vs_ref",
         "multi_region",

@@ -11,6 +11,10 @@
 //!   * **frame** — whole offload simulations (host runs + frame
 //!     invocations) on a few representative workloads.
 //!
+//! A workload's walker and engine legs run interleaved, call by call,
+//! and each reports its median seconds per call, so both sides of a
+//! ratio see the same machine state.
+//!
 //! `--out PATH` writes the JSON report (the CI `perf-smoke` job writes
 //! `results/BENCH_interp.json`); without it nothing is written. With
 //! `--check`, compares the measured ratios (machine-independent, both
@@ -61,33 +65,43 @@ impl Row {
     }
 }
 
-/// Time `f` adaptively: repeat until the window closes (at least twice),
-/// split the calls into five consecutive sub-windows, and return the
-/// median of their mean seconds per call. A burst of other load on the
-/// box inflates one sub-window, which moves the median far less than it
-/// moves the window's mean.
-fn time_one<F: FnMut()>(window: Duration, mut f: F) -> f64 {
-    f(); // warm-up (decodes the engine, faults pages, warms caches)
-    let mut calls = Vec::new();
+/// Rounds every leg is timed for at least, however long they take.
+const MIN_ROUNDS: usize = 5;
+
+/// Time `legs` legs interleaved, call by call: each round calls every
+/// leg once (`run(leg)`), and the leg that starts a round rotates from
+/// round to round, so the legs of a ratio see the same machine state and
+/// none always runs first. Rounds repeat until one `window` per leg has
+/// passed and at least [`MIN_ROUNDS`] are done. Returns each leg's median
+/// seconds per call (after one warm-up call per leg: it decodes the
+/// engine, faults pages and warms caches).
+fn time_legs(window: Duration, legs: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    (0..legs).for_each(&mut run);
+    let budget = window * legs as u32;
+    let mut calls = vec![Vec::new(); legs];
     let start = Instant::now();
-    while calls.len() < 2 || start.elapsed() < window {
-        let t = Instant::now();
-        f();
-        calls.push(t.elapsed().as_secs_f64());
+    let mut round = 0;
+    while round < MIN_ROUNDS || start.elapsed() < budget {
+        for k in 0..legs {
+            let leg = (round + k) % legs;
+            let t = Instant::now();
+            run(leg);
+            calls[leg].push(t.elapsed().as_secs_f64());
+        }
+        round += 1;
     }
-    let n = calls.len();
-    let mut means: Vec<f64> = (0..5)
-        .map(|i| &calls[i * n / 5..(i + 1) * n / 5])
-        .filter(|c| !c.is_empty())
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect();
-    means.sort_by(f64::total_cmp);
-    let mid = means.len() / 2;
-    if means.len() % 2 == 1 {
-        means[mid]
-    } else {
-        (means[mid - 1] + means[mid]) / 2.0
-    }
+    calls
+        .into_iter()
+        .map(|mut c| {
+            c.sort_by(f64::total_cmp);
+            let mid = c.len() / 2;
+            if c.len() % 2 == 1 {
+                c[mid]
+            } else {
+                (c[mid - 1] + c[mid]) / 2.0
+            }
+        })
+        .collect()
 }
 
 fn measure_suite(window: Duration) -> Vec<Row> {
@@ -101,48 +115,43 @@ fn measure_suite(window: Duration) -> Vec<Row> {
                 .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
             let ops = interp.steps();
 
-            let eng_null = time_one(window, || {
+            // Legs: engine and walker with `NullSink`, engine and walker
+            // with `PathProfiler`, engine driving `HostSim`.
+            let t = time_legs(window, 5, |leg| {
                 let mut mem = w.memory.clone();
-                interp
-                    .run_with(w.func, &w.args, &mut mem, &mut NullSink)
-                    .unwrap();
-            });
-            let ref_null = time_one(window, || {
-                let mut mem = w.memory.clone();
-                interp
-                    .run_reference(w.func, &w.args, &mut mem, &mut NullSink)
-                    .unwrap();
-            });
-            let eng_prof = time_one(window, || {
-                let mut mem = w.memory.clone();
-                let mut prof = PathProfiler::new(&w.module);
-                interp
-                    .run_with(w.func, &w.args, &mut mem, &mut prof)
-                    .unwrap();
-            });
-            let ref_prof = time_one(window, || {
-                let mut mem = w.memory.clone();
-                let mut prof = PathProfiler::new(&w.module);
-                interp
-                    .run_reference(w.func, &w.args, &mut mem, &mut prof)
-                    .unwrap();
-            });
-            let eng_host = time_one(window, || {
-                let mut mem = w.memory.clone();
-                let mut host = HostSim::new(&w.module, HostConfig::default());
-                interp
-                    .run_with(w.func, &w.args, &mut mem, &mut host)
-                    .unwrap();
-                host.finish();
+                let (f, args) = (w.func, &w.args);
+                match leg {
+                    0 => {
+                        interp.run_with(f, args, &mut mem, &mut NullSink).unwrap();
+                    }
+                    1 => {
+                        interp
+                            .run_reference(f, args, &mut mem, &mut NullSink)
+                            .unwrap();
+                    }
+                    2 => {
+                        let mut prof = PathProfiler::new(&w.module);
+                        interp.run_with(f, args, &mut mem, &mut prof).unwrap();
+                    }
+                    3 => {
+                        let mut prof = PathProfiler::new(&w.module);
+                        interp.run_reference(f, args, &mut mem, &mut prof).unwrap();
+                    }
+                    _ => {
+                        let mut host = HostSim::new(&w.module, HostConfig::default());
+                        interp.run_with(f, args, &mut mem, &mut host).unwrap();
+                        host.finish();
+                    }
+                }
             });
             Row {
                 name: w.name.clone(),
                 ops,
-                ref_null,
-                eng_null,
-                ref_prof,
-                eng_prof,
-                eng_host,
+                eng_null: t[0],
+                ref_null: t[1],
+                eng_prof: t[2],
+                ref_prof: t[3],
+                eng_host: t[4],
             }
         })
         .collect()
@@ -157,7 +166,7 @@ fn measure_frames(window: Duration) -> Vec<(&'static str, f64)> {
         .map(|name| {
             let p = Prepared::new(name, &cfg);
             let region = p.analysis.braids[0].region.clone();
-            let secs = time_one(window, || {
+            let secs = time_legs(window, 1, |_| {
                 simulate_offload(
                     &p.analysis.module,
                     p.analysis.func,
@@ -169,7 +178,7 @@ fn measure_frames(window: Duration) -> Vec<(&'static str, f64)> {
                 )
                 .expect("offload simulation");
             });
-            (*name, secs)
+            (*name, secs[0])
         })
         .collect()
 }

@@ -91,7 +91,8 @@ impl From<ExecError> for AnalysisError {
     }
 }
 
-/// Profile `func` of `module` on the interpreter and characterise it.
+/// Profile `func` of `module` on the interpreter and characterise it:
+/// rank, Braids, statistics, expansion and the two baselines.
 ///
 /// The input module is cloned; inlining happens on the clone. `memory` is
 /// cloned per run, so the caller's image is untouched.
@@ -105,61 +106,9 @@ pub fn analyze(
     memory: &Memory,
     cfg: &NeedleConfig,
 ) -> Result<Analysis, AnalysisError> {
-    analyze_at(module, func, func, args, memory, cfg)
-}
-
-/// Profile `entry` and analyze the *hottest* function by weight
-/// (`Fwt = Σ Pwt`), which may be a callee of `entry` — the paper reports
-/// "the highest ranked function by weight". When that is `entry` itself
-/// this is [`analyze`]; for a callee, inlining stays off.
-///
-/// A callee's profile sums over its invocations, but its path pairs do not
-/// span them: the expansion statistics count the path successions within
-/// each call.
-///
-/// # Errors
-/// See [`AnalysisError`].
-pub fn analyze_hottest(
-    module: &Module,
-    entry: FuncId,
-    args: &[Constant],
-    memory: &Memory,
-    cfg: &NeedleConfig,
-) -> Result<Analysis, AnalysisError> {
-    // A first profiling pass picks the hottest function.
-    let mut paths = PathProfiler::new(module);
-    let mut mem = memory.clone();
-    Interp::new(module)
-        .with_max_steps(cfg.analysis.max_steps)
-        .with_cancel(cfg.cancel.clone())
-        .run_with(entry, args, &mut mem, &mut paths)?;
-    let ranking = needle_profile::rank::rank_functions(module, &paths);
-    let hottest = ranking.first().map(|(f, _)| *f).unwrap_or(entry);
-    if hottest == entry {
-        return analyze(module, entry, args, memory, cfg);
-    }
-    // Re-analyze with the hottest function as the focus. The driver still
-    // enters at `entry`; profiles of `hottest` accumulate across its
-    // invocations. Inlining must stay off — inlining the callee into the
-    // entry would erase the very invocations being profiled.
-    let mut cfg = cfg.clone();
-    cfg.analysis.inline = false;
-    analyze_at(module, entry, hottest, args, memory, &cfg)
-}
-
-/// Profile one run entered at `entry` and characterise `focus`: rank,
-/// Braids, statistics, expansion and the two baselines.
-fn analyze_at(
-    module: &Module,
-    entry: FuncId,
-    focus: FuncId,
-    args: &[Constant],
-    memory: &Memory,
-    cfg: &NeedleConfig,
-) -> Result<Analysis, AnalysisError> {
     let mut module = module.clone();
     let inlined_calls = if cfg.analysis.inline {
-        inline_all(&mut module, entry, cfg.analysis.max_inline_insts)
+        inline_all(&mut module, func, cfg.analysis.max_inline_insts)
     } else {
         0
     };
@@ -175,15 +124,15 @@ fn analyze_at(
     Interp::new(&module)
         .with_max_steps(cfg.analysis.max_steps)
         .with_cancel(cfg.cancel.clone())
-        .run_with(entry, args, &mut mem, &mut TeeSink(&mut paths, &mut edges))?;
+        .run_with(func, args, &mut mem, &mut TeeSink(&mut paths, &mut edges))?;
     let numbering = paths
-        .numbering(focus)
+        .numbering(func)
         .cloned()
         .ok_or(AnalysisError::Numbering(needle_profile::bl::BlError::TooManyPaths))?;
-    let path_profile = paths.profile(focus);
-    let edge_profile = edges.profile(focus);
+    let path_profile = paths.profile(func);
+    let edge_profile = edges.profile(func);
 
-    let f = module.func(focus);
+    let f = module.func(func);
     let rank = rank_paths(f, &numbering, &path_profile);
     let braids = build_braids(f, &rank, cfg.analysis.braid_merge_paths);
     let stats = control_flow_stats(f);
@@ -200,7 +149,7 @@ fn analyze_at(
 
     Ok(Analysis {
         module,
-        func: focus,
+        func,
         inlined_calls,
         numbering,
         path_profile,
@@ -290,56 +239,6 @@ mod tests {
         );
         // High-bias workloads concentrate coverage in the top path.
         assert!(parser.rank.top_coverage(1) > crafty.rank.top_coverage(1));
-    }
-
-    #[test]
-    fn analyze_hottest_focuses_the_heavy_callee() {
-        use needle_ir::builder::FunctionBuilder;
-        use needle_ir::{Type, Value as V};
-        // entry loops calling a heavyweight kernel: the kernel is hotter.
-        let mut m = needle_ir::Module::new("t");
-        let mut fb = FunctionBuilder::new("kernel", &[Type::I64], Some(Type::I64));
-        let mut x = fb.arg(0);
-        for _ in 0..40 {
-            x = fb.add(x, V::int(1));
-        }
-        fb.ret(Some(x));
-        let kernel = m.push(fb.finish());
-        let mut fb = FunctionBuilder::new("entry", &[Type::I64], Some(Type::I64));
-        let entry = fb.entry();
-        let head = fb.block("head");
-        let body = fb.block("body");
-        let exit = fb.block("exit");
-        fb.switch_to(entry);
-        fb.br(head);
-        fb.switch_to(head);
-        let i = fb.phi(Type::I64, &[(entry, V::int(0))]);
-        let c = fb.icmp_slt(i, fb.arg(0));
-        fb.cond_br(c, body, exit);
-        fb.switch_to(body);
-        fb.call(kernel, Type::I64, &[i]);
-        let i2 = fb.add(i, V::int(1));
-        fb.br(head);
-        fb.switch_to(exit);
-        fb.ret(Some(i));
-        let mut f = fb.finish();
-        let i_id = i.as_inst().unwrap();
-        f.inst_mut(i_id).args.push(i2);
-        f.inst_mut(i_id).phi_blocks.push(body);
-        let entry_f = m.push(f);
-
-        let mem = needle_ir::interp::Memory::new();
-        let a = analyze_hottest(
-            &m,
-            entry_f,
-            &[needle_ir::Constant::Int(200)],
-            &mem,
-            &NeedleConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(a.func, kernel, "the heavyweight callee is the focus");
-        assert!(a.rank.executed_paths() >= 1);
-        assert!(a.rank.fwt > 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use needle_frames::{
     build_frame, certify_frame, frame_fingerprint, CertConfig, CertVerdict, Certificate,
-    CounterExample, Frame, SymEqError,
+    CounterExample, Frame,
 };
 use needle_ir::interp::Val;
 use needle_ir::Function;
@@ -365,7 +365,7 @@ pub struct CachedCertificate {
 /// the optional verdict cache, and fold the outcome into `stats`.
 ///
 /// # Errors
-/// [`NeedleError::Opt`]-style structural failures from the checker, or
+/// [`NeedleError::Cert`] when the checker meets a malformed frame, or
 /// journal I/O when recording into the cache.
 pub fn certify_cached(
     func: &Function,
@@ -389,7 +389,7 @@ pub fn certify_cached(
         }
     }
     let start = Instant::now();
-    let cert = certify_frame(func, frame, cfg).map_err(symeq_err)?;
+    let cert = certify_frame(func, frame, cfg)?;
     let solve_us = start.elapsed().as_micros() as u64;
     stats.record(&cert.verdict, solve_us);
     if let Some(cache) = cache {
@@ -400,14 +400,6 @@ pub fn certify_cached(
         cached: false,
         solve_us,
     })
-}
-
-fn symeq_err(e: SymEqError) -> NeedleError {
-    match e {
-        SymEqError::Malformed { op, .. } => {
-            NeedleError::Opt(needle_frames::OptError::BrokenDataflow { index: op })
-        }
-    }
 }
 
 /// Per-frame entry of a [`CertifyReport`].
@@ -677,6 +669,46 @@ mod tests {
         for fp in 0..4u64 {
             assert_eq!(j2.lookup(fp), Some(&CachedVerdict::Proved));
         }
+    }
+
+    #[test]
+    fn malformed_frame_is_a_typed_cert_error() {
+        let func = needle_ir::parse::parse_function(
+            "fn @k(i64 %arg0, i64 %arg1) -> i64 {\n\
+             bb0:\n\
+             %0 = add i64 %arg0, %arg1\n\
+             br bb1\n\
+             bb1:\n\
+             %2 = mul i64 %0, %arg0\n\
+             ret %2\n\
+             }",
+        )
+        .unwrap();
+        let region =
+            OffloadRegion::from_path(&[needle_ir::BlockId(0), needle_ir::BlockId(1)], 1, 1.0);
+        let mut frame = build_frame(&func, &region).unwrap();
+        // Op 0 reading its own result is a cyclic definition.
+        frame.ops[0].args = vec![needle_frames::FrameValue::Op(0)];
+        let err = certify_cached(
+            &func,
+            &frame,
+            &CertConfig::default(),
+            None,
+            &mut CertStats::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NeedleError::Cert(needle_frames::SymEqError::Malformed { op: 0, .. })
+            ),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("op 0") && msg.contains("outside the evaluated prefix"),
+            "{msg}"
+        );
     }
 
     #[test]

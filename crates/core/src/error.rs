@@ -1,10 +1,10 @@
 //! The pipeline-wide error taxonomy.
 //!
 //! Every fallible layer of the reproduction — analysis, frame
-//! construction, frame optimisation, interpretation, speculative frame
-//! execution, differential verification — reports a typed error instead
-//! of panicking, and [`NeedleError`] is the top-level sum the pipeline
-//! entry points (`simulate_offload`, `simulate_offload_with`,
+//! construction, symbolic certification, interpretation, speculative
+//! frame execution, differential verification — reports a typed error
+//! instead of panicking, and [`NeedleError`] is the top-level sum the
+//! pipeline entry points (`simulate_offload`, `simulate_offload_with`,
 //! `run_campaign`) return. Callers that want graceful degradation (the
 //! CLI, the chaos campaign) match on the variant: a
 //! [`NeedleError::Frame`] on one region means "fall back to the host for
@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use needle_frames::{BuildError, ExecFrameError, OptError, VerifyError};
+use needle_frames::{BuildError, ExecFrameError, SymEqError, VerifyError};
 use needle_ir::interp::ExecError;
 
 use crate::analysis::AnalysisError;
@@ -25,8 +25,8 @@ pub enum NeedleError {
     Analysis(AnalysisError),
     /// The region could not be lowered to a frame.
     Frame(BuildError),
-    /// A frame transformation produced or met a malformed frame.
-    Opt(OptError),
+    /// The symbolic certifier met a malformed frame.
+    Cert(SymEqError),
     /// Reference interpretation of the whole workload failed.
     Exec(ExecError),
     /// Speculative execution of a frame failed structurally (distinct
@@ -56,7 +56,7 @@ impl fmt::Display for NeedleError {
         match self {
             NeedleError::Analysis(e) => write!(f, "analysis failed: {e}"),
             NeedleError::Frame(e) => write!(f, "frame construction failed: {e}"),
-            NeedleError::Opt(e) => write!(f, "frame optimisation failed: {e}"),
+            NeedleError::Cert(e) => write!(f, "frame certification failed: {e}"),
             NeedleError::Exec(e) => write!(f, "execution failed: {e}"),
             NeedleError::FrameExec(e) => write!(f, "frame execution failed: {e}"),
             NeedleError::Verify(e) => write!(f, "verification failed: {e}"),
@@ -84,9 +84,9 @@ impl From<BuildError> for NeedleError {
     }
 }
 
-impl From<OptError> for NeedleError {
-    fn from(e: OptError) -> NeedleError {
-        NeedleError::Opt(e)
+impl From<SymEqError> for NeedleError {
+    fn from(e: SymEqError) -> NeedleError {
+        NeedleError::Cert(e)
     }
 }
 

@@ -26,6 +26,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use needle_frames::symeq::fnv1a64;
+
 /// A JSON value, as minimal as the journal can get away with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -395,17 +397,6 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// FNV-1a 64-bit — the journal's per-record checksum. Not cryptographic;
-/// it only needs to catch torn writes and bit rot.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Journal failures.
 #[derive(Debug)]
 pub enum JournalError {
@@ -456,7 +447,9 @@ fn sync_parent_dir(path: &Path) -> Result<(), JournalError> {
     io_ctx("sync dir", parent, d.sync_all())
 }
 
-/// Encode one journal line: `{"crc":"<hex>","rec":<payload>}`.
+/// Encode one journal line: `{"crc":"<hex>","rec":<payload>}`. The
+/// checksum is FNV-1a 64 — not cryptographic; it only needs to catch
+/// torn writes and bit rot.
 fn encode_line(rec: &Json) -> String {
     let payload = rec.encode();
     format!(

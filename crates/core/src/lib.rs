@@ -60,7 +60,7 @@ pub mod soak;
 pub mod supervisor;
 mod sync;
 
-pub use analysis::{analyze, analyze_hottest, Analysis, AnalysisError};
+pub use analysis::{analyze, Analysis, AnalysisError};
 pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use chaos::{run_campaign, storm_scenario, ChaosConfig, ChaosReport, RegionCampaign};
 pub use config::{NeedleConfig, ShardPolicy, StormConfig, SupervisorConfig};

@@ -47,9 +47,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use needle_frames::symeq::fnv1a64;
+
 use crate::config::ShardPolicy;
 use crate::error::NeedleError;
-use crate::journal::{self, fnv1a64, Journal, Json};
+use crate::journal::{self, Journal, Json};
 use crate::serve::{
     FailReason, MetricsSnapshot, Outcome, Request, Response, ServeConfig, Service, ShedReason,
 };

@@ -34,6 +34,7 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use needle_frames::symeq::fnv1a64;
 use needle_ir::interp::{CancelToken, ExecError};
 use needle_regions::path::PathRegion;
 
@@ -876,7 +877,7 @@ pub fn jittered_backoff(base_ms: u64, attempt: u32, salt: u64) -> u64 {
     seed[..8].copy_from_slice(&salt.to_le_bytes());
     seed[8..16].copy_from_slice(&(attempt as u64).to_le_bytes());
     seed[16..].copy_from_slice(&base_ms.to_le_bytes());
-    half + journal::fnv1a64(&seed) % (window - half + 1)
+    half + fnv1a64(&seed) % (window - half + 1)
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {

@@ -35,12 +35,9 @@ pub use exec::{run_frame, run_frame_with, AbortCause, ExecFrameError, FrameOutco
 pub use frame::{Frame, FrameOp, FrameOpKind, FrameValue, LiveIn, LiveOut};
 pub use inject::{Fault, FaultInjector, FaultKind, InjectionRecord, InjectorConfig};
 pub use liveness::{live_ins, live_outs};
-pub use opt::{
-    apply_guard_policy, apply_guard_policy_certified, concat_frames, dce_frame,
-    dce_frame_certified, CertifiedPass, GuardPolicy, OptError,
-};
+pub use opt::{concat_frames, OptError};
 pub use symeq::{
-    certify_frame, certify_frame_pair, frame_fingerprint, CertConfig, CertVerdict, Certificate,
-    CounterExample, SolveStats, SymEqError,
+    certify_frame, frame_fingerprint, CertConfig, CertVerdict, Certificate, CounterExample,
+    SolveStats, SymEqError,
 };
 pub use verify::{verify_invocation, RefRun, VerifyError, Verdict};

@@ -1,36 +1,18 @@
-//! Frame-level optimizations and transformations.
+//! Frame transformations.
 //!
-//! * [`dce_frame`] — dead-op elimination: drop ops that feed no live-out,
-//!   store, or guard (dataflow predication executes everything, so dead
-//!   ops waste fabric area and energy — this is the ablation DESIGN.md
-//!   calls out);
-//! * [`guard_policy`] — §V: "NEEDLE regulates when the guard checks are
-//!   inserted along the path to reduce the overheads of speculation
-//!   failure": reposition guards either as-early-as-possible (cheap
-//!   aborts) or as-late-as-possible (maximum hoisting / ILP);
-//! * [`concat_frames`] — §IV-A target expansion materialized: stitch two
-//!   copies of a frame back-to-back, wiring loop-carried live-outs of the
-//!   first into the live-ins of the second, to build a two-iteration
-//!   offload unit.
+//! [`concat_frames`] is §IV-A target expansion materialized: stitch
+//! copies of a frame back-to-back, wiring loop-carried live-outs of one
+//! copy into the live-ins of the next, to build a multi-iteration
+//! offload unit.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::frame::{Frame, FrameOp, FrameOpKind, FrameValue, LiveOut};
-use crate::symeq::{certify_frame_pair, CertConfig, CertVerdict, Certificate, SymEqError};
+use crate::frame::{Frame, FrameValue, LiveOut};
 
-/// Frame transformation failures (all indicate a structurally broken
-/// frame; valid frames never produce them).
+/// Frame expansion failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptError {
-    /// An op (or live-out) references an op slot that does not exist or
-    /// was eliminated while still referenced.
-    BrokenDataflow {
-        /// The offending referenced index.
-        index: usize,
-    },
-    /// Scheduling found no ready op: the dataflow graph has a cycle.
-    CyclicDataflow,
     /// A loop-carried pair references a live-out index out of range.
     BadLoopCarried {
         /// The offending live-out index.
@@ -43,10 +25,6 @@ pub enum OptError {
 impl fmt::Display for OptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OptError::BrokenDataflow { index } => {
-                write!(f, "dangling reference to op {index}")
-            }
-            OptError::CyclicDataflow => write!(f, "frame dataflow contains a cycle"),
             OptError::BadLoopCarried { index } => {
                 write!(f, "loop-carried pair references live-out {index} out of range")
             }
@@ -56,220 +34,6 @@ impl fmt::Display for OptError {
 }
 
 impl std::error::Error for OptError {}
-
-/// Remove ops whose results reach no store, guard, or live-out. Returns
-/// the number of ops eliminated.
-///
-/// # Errors
-/// [`OptError::BrokenDataflow`] if the frame references nonexistent ops.
-pub fn dce_frame(frame: &mut Frame) -> Result<usize, OptError> {
-    let n = frame.ops.len();
-    let mut live = vec![false; n];
-    let mark_value =
-        |v: FrameValue, live: &mut Vec<bool>, stack: &mut Vec<usize>| -> Result<(), OptError> {
-            if let FrameValue::Op(i) = v {
-                if i >= n {
-                    return Err(OptError::BrokenDataflow { index: i });
-                }
-                if !live[i] {
-                    live[i] = true;
-                    stack.push(i);
-                }
-            }
-            Ok(())
-        };
-    let mut stack = Vec::new();
-    for (i, op) in frame.ops.iter().enumerate() {
-        if matches!(op.kind, FrameOpKind::Store | FrameOpKind::Guard { .. }) {
-            live[i] = true;
-            stack.push(i);
-        }
-    }
-    for lo in &frame.live_outs {
-        mark_value(lo.value, &mut live, &mut stack)?;
-    }
-    while let Some(i) = stack.pop() {
-        let op = frame.ops[i].clone();
-        for a in op.args.iter().chain(op.pred.iter()) {
-            mark_value(*a, &mut live, &mut stack)?;
-        }
-    }
-
-    // Compact, remapping indices.
-    let mut remap: Vec<Option<usize>> = vec![None; n];
-    let mut new_ops: Vec<FrameOp> = Vec::with_capacity(n);
-    for (i, op) in frame.ops.iter().enumerate() {
-        if live[i] {
-            remap[i] = Some(new_ops.len());
-            new_ops.push(op.clone());
-        }
-    }
-    let fix = |v: &mut FrameValue| -> Result<(), OptError> {
-        if let FrameValue::Op(i) = v {
-            *i = remap
-                .get(*i)
-                .copied()
-                .flatten()
-                .ok_or(OptError::BrokenDataflow { index: *i })?;
-        }
-        Ok(())
-    };
-    for op in &mut new_ops {
-        for a in &mut op.args {
-            fix(a)?;
-        }
-        if let Some(p) = &mut op.pred {
-            fix(p)?;
-        }
-    }
-    for lo in &mut frame.live_outs {
-        fix(&mut lo.value)?;
-    }
-    // Every genuine guard op was rooted above, so a guard index that
-    // fails to remap is a structural lie (out of range, or pointing at a
-    // non-guard op that was eliminated) — report it instead of silently
-    // dropping the entry and letting a corrupt frame escape.
-    let mut new_guards = Vec::with_capacity(frame.guards.len());
-    for &g in &frame.guards {
-        let idx = remap
-            .get(g)
-            .copied()
-            .flatten()
-            .ok_or(OptError::BrokenDataflow { index: g })?;
-        new_guards.push(idx);
-    }
-    frame.guards = new_guards;
-    let removed = n - new_ops.len();
-    frame.undo_log_size = new_ops
-        .iter()
-        .filter(|o| matches!(o.kind, FrameOpKind::Store))
-        .count();
-    frame.ops = new_ops;
-    Ok(removed)
-}
-
-/// Guard placement policy (§V "guard position").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardPolicy {
-    /// Guards stay where region lowering emitted them (program order).
-    AsEmitted,
-    /// Guards sink to the end of the frame: every other op hoists above
-    /// them, maximising speculative ILP at the cost of late failure
-    /// detection (the paper's evaluation assumption).
-    Late,
-    /// Guards rise as early as their condition allows: aborts are detected
-    /// sooner (cheaper failures) but nothing structurally changes for pure
-    /// dataflow — this models an early-abort fabric.
-    Early,
-}
-
-/// Reorder guard ops according to `policy`, preserving dataflow validity
-/// (an op never moves before its operands). Returns the frame's guard
-/// indices after placement.
-///
-/// # Errors
-/// [`OptError::CyclicDataflow`] if the op graph has no valid schedule;
-/// [`OptError::BrokenDataflow`] on dangling references.
-pub fn apply_guard_policy(frame: &mut Frame, policy: GuardPolicy) -> Result<Vec<usize>, OptError> {
-    let ready = |i: usize, placed: &[bool], ops: &[FrameOp]| {
-        ops[i]
-            .args
-            .iter()
-            .chain(ops[i].pred.iter())
-            .all(|a| match a {
-                FrameValue::Op(j) => placed.get(*j).copied().unwrap_or(false),
-                _ => true,
-            })
-    };
-    match policy {
-        GuardPolicy::AsEmitted => Ok(frame.guards.clone()),
-        GuardPolicy::Late => {
-            // Sink each guard as late as its consumers allow. A blind
-            // stable partition would move a guard past an op that reads
-            // its pass bit (e.g. a store predicated on the guard result),
-            // turning a valid frame into one with forward references —
-            // schedule non-guards first but respect dataflow instead.
-            let n = frame.ops.len();
-            let mut placed = vec![false; n];
-            let mut order: Vec<usize> = Vec::with_capacity(n);
-            while order.len() < n {
-                let next_plain = (0..n).find(|i| {
-                    !placed[*i]
-                        && !matches!(frame.ops[*i].kind, FrameOpKind::Guard { .. })
-                        && ready(*i, &placed, &frame.ops)
-                });
-                let pick = next_plain.or_else(|| {
-                    (0..n).find(|i| !placed[*i] && ready(*i, &placed, &frame.ops))
-                });
-                let i = pick.ok_or(OptError::CyclicDataflow)?;
-                placed[i] = true;
-                order.push(i);
-            }
-            permute(frame, &order)
-        }
-        GuardPolicy::Early => {
-            // Move each guard right after its latest dependency: compute a
-            // schedule order where guards get priority.
-            let n = frame.ops.len();
-            let mut placed = vec![false; n];
-            let mut order: Vec<usize> = Vec::with_capacity(n);
-            // Repeatedly emit any ready guard first, else the next ready op.
-            while order.len() < n {
-                let next_guard = (0..n).find(|i| {
-                    !placed[*i]
-                        && matches!(frame.ops[*i].kind, FrameOpKind::Guard { .. })
-                        && ready(*i, &placed, &frame.ops)
-                });
-                let pick = next_guard.or_else(|| {
-                    (0..n).find(|i| !placed[*i] && ready(*i, &placed, &frame.ops))
-                });
-                let i = pick.ok_or(OptError::CyclicDataflow)?;
-                placed[i] = true;
-                order.push(i);
-            }
-            permute(frame, &order)
-        }
-    }
-}
-
-/// Reorder `frame.ops` into `order` (old indices in new order), remapping
-/// all references. Returns the new guard indices.
-fn permute(frame: &mut Frame, order: &[usize]) -> Result<Vec<usize>, OptError> {
-    let mut remap = vec![0usize; frame.ops.len()];
-    for (new_idx, old_idx) in order.iter().enumerate() {
-        remap[*old_idx] = new_idx;
-    }
-    let mut new_ops: Vec<FrameOp> = order.iter().map(|i| frame.ops[*i].clone()).collect();
-    let fix = |v: &mut FrameValue| -> Result<(), OptError> {
-        if let FrameValue::Op(i) = v {
-            *i = remap
-                .get(*i)
-                .copied()
-                .ok_or(OptError::BrokenDataflow { index: *i })?;
-        }
-        Ok(())
-    };
-    for op in &mut new_ops {
-        for a in &mut op.args {
-            fix(a)?;
-        }
-        if let Some(p) = &mut op.pred {
-            fix(p)?;
-        }
-    }
-    for lo in &mut frame.live_outs {
-        fix(&mut lo.value)?;
-    }
-    frame.ops = new_ops;
-    frame.guards = frame
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| matches!(o.kind, FrameOpKind::Guard { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    Ok(frame.guards.clone())
-}
 
 /// Concatenate a frame with itself `copies` times, wiring each iteration's
 /// loop-carried live-outs into the next iteration's live-ins (§IV-A: the
@@ -329,75 +93,6 @@ pub fn concat_frames(frame: &Frame, copies: usize) -> Result<Frame, OptError> {
     Ok(out)
 }
 
-/// Result of a certified transformation: the pass output (when the
-/// mutation was kept) plus the equivalence certificate behind it.
-#[derive(Debug, Clone)]
-pub struct CertifiedPass<T> {
-    /// The underlying pass result; `None` when the transformation was
-    /// rolled back because the checker refuted it.
-    pub result: Option<T>,
-    /// The before/after equivalence certificate.
-    pub cert: Certificate,
-}
-
-impl<T> CertifiedPass<T> {
-    /// Whether the transformed frame was kept.
-    pub fn applied(&self) -> bool {
-        self.result.is_some()
-    }
-}
-
-fn certified<T>(
-    frame: &mut Frame,
-    cfg: &CertConfig,
-    pass: impl FnOnce(&mut Frame) -> Result<T, OptError>,
-) -> Result<CertifiedPass<T>, OptError> {
-    let before = frame.clone();
-    let result = pass(frame)?;
-    let cert = certify_frame_pair(&before, frame, cfg).map_err(|e| match e {
-        SymEqError::Malformed { op, .. } => OptError::BrokenDataflow { index: op },
-    })?;
-    if matches!(cert.verdict, CertVerdict::Refuted(_)) {
-        // The checker found a concrete input where the transformed frame
-        // diverges: undo the miscompile and surface the evidence.
-        *frame = before;
-        return Ok(CertifiedPass { result: None, cert });
-    }
-    // Proved, or unproven-but-not-disproven (Timeout/Unsupported): keep
-    // the transformation; the caller decides whether an unproven frame
-    // is publishable under its verification policy.
-    Ok(CertifiedPass {
-        result: Some(result),
-        cert,
-    })
-}
-
-/// [`dce_frame`] with a symbolic proof obligation: the eliminated frame
-/// must be provably equivalent to the original, or the elimination is
-/// rolled back and the refutation returned.
-///
-/// # Errors
-/// Propagates [`dce_frame`]'s structural errors.
-pub fn dce_frame_certified(
-    frame: &mut Frame,
-    cfg: &CertConfig,
-) -> Result<CertifiedPass<usize>, OptError> {
-    certified(frame, cfg, dce_frame)
-}
-
-/// [`apply_guard_policy`] with a symbolic proof obligation, rolling the
-/// repositioning back if the checker refutes it.
-///
-/// # Errors
-/// Propagates [`apply_guard_policy`]'s structural errors.
-pub fn apply_guard_policy_certified(
-    frame: &mut Frame,
-    policy: GuardPolicy,
-    cfg: &CertConfig,
-) -> Result<CertifiedPass<Vec<usize>>, OptError> {
-    certified(frame, cfg, |f| apply_guard_policy(f, policy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,8 +120,6 @@ mod tests {
         fb.switch_to(body);
         let t = fb.mul(i, V::int(3));
         let s2 = fb.add(s, t);
-        let dead = fb.mul(i, V::int(99)); // used by nothing
-        let _ = dead;
         let i2 = fb.add(i, V::int(1));
         fb.br(head);
         fb.switch_to(exit);
@@ -439,61 +132,6 @@ mod tests {
         f.inst_mut(s_id).args.push(s2);
         f.inst_mut(s_id).phi_blocks.push(body);
         build_frame(&f, &OffloadRegion::from_path(&[BlockId(1), BlockId(2)], 10, 0.9)).unwrap()
-    }
-
-    #[test]
-    fn dce_removes_dead_ops_and_keeps_semantics() {
-        let mut frame = iteration_frame();
-        let before_ops = frame.num_ops();
-        let mut mem = Memory::new();
-        let lv = |frame: &Frame| -> Vec<Val> {
-            frame
-                .live_ins
-                .iter()
-                .map(|li| match li.value {
-                    V::Arg(0) => Val::Int(100),          // n
-                    V::Inst(_) => Val::Int(4),           // i or s φ
-                    other => panic!("{other:?}"),
-                })
-                .collect()
-        };
-        let out_before = run_frame(&frame, &lv(&frame), &mut mem).unwrap();
-        let removed = dce_frame(&mut frame).unwrap();
-        assert!(removed >= 1, "dead mul must go");
-        assert!(frame.num_ops() < before_ops);
-        frame.validate().unwrap();
-        let out_after = run_frame(&frame, &lv(&frame), &mut mem).unwrap();
-        assert_eq!(out_before, out_after);
-    }
-
-    #[test]
-    fn guard_policies_preserve_dataflow_and_outcomes() {
-        for policy in [GuardPolicy::AsEmitted, GuardPolicy::Late, GuardPolicy::Early] {
-            let mut frame = iteration_frame();
-            let guards = apply_guard_policy(&mut frame, policy).unwrap();
-            assert_eq!(guards.len(), 1);
-            frame.validate().unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-            let lv: Vec<Val> = frame
-                .live_ins
-                .iter()
-                .map(|li| match li.value {
-                    V::Arg(0) => Val::Int(100),
-                    V::Inst(_) => Val::Int(4),
-                    other => panic!("{other:?}"),
-                })
-                .collect();
-            let mut mem = Memory::new();
-            let out = run_frame(&frame, &lv, &mut mem).unwrap();
-            assert!(out.committed(), "{policy:?}: {out:?}");
-        }
-    }
-
-    #[test]
-    fn late_policy_puts_guards_last() {
-        let mut frame = iteration_frame();
-        apply_guard_policy(&mut frame, GuardPolicy::Late).unwrap();
-        let g = frame.guards[0];
-        assert_eq!(g, frame.ops.len() - 1);
     }
 
     #[test]
@@ -521,128 +159,6 @@ mod tests {
         };
         assert!(live_outs.contains(&Val::Int(2)), "i after 2 iters: {live_outs:?}");
         assert!(live_outs.contains(&Val::Int(3)), "s after 2 iters: {live_outs:?}");
-    }
-
-    /// A frame whose store is predicated on a guard's pass bit — legal
-    /// dataflow, but the old `Late` partition moved the guard past its
-    /// consumer and corrupted the frame.
-    fn guard_consuming_frame() -> Frame {
-        use crate::frame::{FrameOp, FrameOpKind, LiveIn};
-        use needle_ir::{Constant, InstId, Op, Value};
-        let cmp = FrameOp {
-            kind: FrameOpKind::Compute(Op::ICmp(needle_ir::CmpOp::Gt)),
-            args: vec![FrameValue::LiveIn(0), FrameValue::Const(Constant::Int(0))],
-            ty: Type::I1,
-            pred: None,
-            src: None,
-            imm: 0,
-        };
-        let guard = FrameOp {
-            kind: FrameOpKind::Guard { expected: true },
-            args: vec![FrameValue::Op(0)],
-            ty: Type::I1,
-            pred: None,
-            src: None,
-            imm: 0,
-        };
-        let store = FrameOp {
-            kind: FrameOpKind::Store,
-            args: vec![FrameValue::LiveIn(0), FrameValue::LiveIn(1)],
-            ty: Type::I64,
-            pred: Some(FrameValue::Op(1)), // fires only if the guard passed
-            src: None,
-            imm: 0,
-        };
-        Frame {
-            ops: vec![cmp, guard, store],
-            live_ins: vec![
-                LiveIn {
-                    value: Value::Arg(0),
-                    ty: Type::I64,
-                },
-                LiveIn {
-                    value: Value::Arg(1),
-                    ty: Type::I64,
-                },
-            ],
-            live_outs: vec![LiveOut {
-                inst: InstId(0),
-                value: FrameValue::Op(0),
-            }],
-            guards: vec![1],
-            phis_cancelled: 0,
-            undo_log_size: 1,
-            loop_carried: vec![],
-            region: OffloadRegion::from_path(&[BlockId(0)], 1, 1.0),
-        }
-    }
-
-    #[test]
-    fn late_policy_respects_guard_consumers() {
-        let mut frame = guard_consuming_frame();
-        let before = frame.clone();
-        apply_guard_policy(&mut frame, GuardPolicy::Late).unwrap();
-        frame
-            .validate()
-            .expect("late placement must keep dataflow valid");
-        // The reposition must also be semantically invisible — prove it.
-        let cert =
-            crate::symeq::certify_frame_pair(&before, &frame, &CertConfig::default()).unwrap();
-        assert_eq!(cert.verdict, CertVerdict::Proved, "{:?}", cert.stats);
-    }
-
-    #[test]
-    fn dce_reports_bogus_guard_indices() {
-        let mut frame = iteration_frame();
-        frame.guards.push(9999);
-        let err = dce_frame(&mut frame).unwrap_err();
-        assert_eq!(err, OptError::BrokenDataflow { index: 9999 });
-    }
-
-    #[test]
-    fn certified_passes_prove_and_keep_valid_transformations() {
-        let mut frame = iteration_frame();
-        let dce = dce_frame_certified(&mut frame, &CertConfig::default()).unwrap();
-        assert!(dce.applied(), "{:?}", dce.cert.verdict);
-        assert_eq!(dce.cert.verdict, CertVerdict::Proved);
-        assert!(dce.result.unwrap() >= 1);
-        for policy in [GuardPolicy::Late, GuardPolicy::Early] {
-            let mut frame = iteration_frame();
-            let p = apply_guard_policy_certified(&mut frame, policy, &CertConfig::default())
-                .unwrap();
-            assert!(p.applied());
-            assert_eq!(p.cert.verdict, CertVerdict::Proved, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn certified_pass_rolls_back_a_refuted_miscompile() {
-        use crate::frame::FrameOpKind;
-        use needle_ir::{Constant, Op};
-        // A deliberately broken "pass": drops the store by rewriting it to
-        // a no-op add — exactly the miscompile class DCE could commit if
-        // it ever treated a side-effecting op as dead.
-        let drop_store = |f: &mut Frame| -> Result<usize, OptError> {
-            let at = f
-                .ops
-                .iter()
-                .position(|o| matches!(o.kind, FrameOpKind::Store))
-                .ok_or(OptError::ZeroCopies)?;
-            f.ops[at].kind = FrameOpKind::Compute(Op::Add);
-            f.ops[at].args = vec![
-                FrameValue::Const(Constant::Int(0)),
-                FrameValue::Const(Constant::Int(0)),
-            ];
-            f.ops[at].pred = None;
-            f.undo_log_size = 0;
-            Ok(1)
-        };
-        let mut frame = guard_consuming_frame();
-        let original = frame.clone();
-        let out = super::certified(&mut frame, &CertConfig::default(), drop_store).unwrap();
-        assert!(!out.applied(), "miscompile must not be kept");
-        assert!(matches!(out.cert.verdict, CertVerdict::Refuted(_)));
-        assert_eq!(frame, original, "frame must be rolled back");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 
 use crate::frame::Frame;
 
-/// 64-bit FNV-1a (same parameters as the core journal's checksums).
+/// 64-bit FNV-1a. Besides the frame fingerprint, the `needle` core crate
+/// hashes with it for the journal's on-disk per-record checksums, the
+/// supervisor's retry jitter and the shard ring's placement, so its
+/// output must never change.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -33,6 +36,12 @@ pub fn frame_fingerprint(frame: &Frame) -> u64 {
 mod tests {
     use super::*;
     use crate::frame::{FrameOp, FrameOpKind, FrameValue};
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn fingerprint_tracks_semantic_fields() {

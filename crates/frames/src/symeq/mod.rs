@@ -1,8 +1,7 @@
 //! Symbolic frame certification.
 //!
 //! Proves (or refutes) that a frame is equivalent to its source region
-//! — or that one frame is equivalent to another across a transformation
-//! — over **all** live-in values and initial memories, not just the
+//! over **all** live-in values and initial memories, not just the
 //! concrete inputs a differential probe happened to draw:
 //!
 //! 1. [`encode`] translates both sides into a shared 64-bit bit-vector
@@ -178,7 +177,7 @@ enum Outcome {
     Sat(Vec<u64>, Vec<(u64, u64)>),
 }
 
-/// Shared tail: lower, blast, and solve the collected `bad` terms.
+/// Lower, blast, and solve the collected `bad` terms.
 /// Returns either a final verdict (proved/timeout/unsupported) or a
 /// satisfying assignment (candidate counterexample) to be replayed.
 fn discharge(
@@ -406,120 +405,6 @@ pub fn certify_frame(
     }
 }
 
-/// Certify that `after` is equivalent to `before` (same live-in
-/// signature, same commit/abort behaviour, same memory effects and
-/// live-outs on commit) — the per-transformation proof obligation the
-/// optimizer passes emit.
-///
-/// # Errors
-/// [`SymEqError::Malformed`] if either frame is structurally broken.
-pub fn certify_frame_pair(
-    before: &Frame,
-    after: &Frame,
-    cfg: &CertConfig,
-) -> Result<Certificate, SymEqError> {
-    let mut stats = SolveStats::default();
-    if before.live_ins.len() != after.live_ins.len()
-        || before
-            .live_ins
-            .iter()
-            .zip(&after.live_ins)
-            .any(|(a, b)| a.ty != b.ty)
-    {
-        return Ok(Certificate {
-            verdict: CertVerdict::Unsupported {
-                why: "transformation changed the live-in signature".into(),
-            },
-            stats,
-        });
-    }
-    if before.live_outs.len() != after.live_outs.len() {
-        return Ok(Certificate {
-            verdict: CertVerdict::Unsupported {
-                why: "transformation changed the live-out signature".into(),
-            },
-            stats,
-        });
-    }
-    let mut pool = Pool::new();
-    let b = match encode_frame(&mut pool, before) {
-        Ok(e) => e,
-        Err(stop) => return stop_to_result(stop, stats),
-    };
-    let a = match encode_frame(&mut pool, after) {
-        Ok(e) => e,
-        Err(stop) => return stop_to_result(stop, stats),
-    };
-
-    let mut bads = Vec::new();
-    bads.push(pool.cmp(needle_ir::CmpOp::Ne, b.commit, a.commit));
-    for (lb, la) in b.live_outs.iter().zip(&a.live_outs) {
-        let ne = pool.cmp(needle_ir::CmpOp::Ne, *lb, *la);
-        bads.push(pool.and2(b.commit, ne));
-    }
-    let mut cells: Vec<TermId> = Vec::new();
-    for &c in b.store_cells.iter().chain(&a.store_cells) {
-        if !cells.contains(&c) {
-            cells.push(c);
-        }
-    }
-    for c in cells {
-        let bv = pool.sel(b.mem, c);
-        let av = pool.sel(a.mem, c);
-        let ne = pool.cmp(needle_ir::CmpOp::Ne, bv, av);
-        bads.push(pool.and2(b.commit, ne));
-    }
-
-    let n_live = before.live_ins.len();
-    match discharge(&mut pool, bads, n_live, cfg, &mut stats) {
-        Outcome::Verdict(v) => Ok(Certificate { verdict: v, stats }),
-        Outcome::Sat(raw_live_ins, seeds) => {
-            let live_ins = live_in_vals(before, &raw_live_ins);
-            let mut mem_b = seed_memory(&seeds);
-            let mut mem_a = seed_memory(&seeds);
-            let run = |frame: &Frame, mem: &mut Memory| {
-                run_frame(frame, &live_ins, mem).map_err(|e| match e {
-                    crate::exec::ExecFrameError::MalformedFrame { op, .. } => {
-                        SymEqError::Malformed {
-                            op,
-                            what: "frame execution failed on the counterexample",
-                        }
-                    }
-                    crate::exec::ExecFrameError::LiveInArity { .. } => SymEqError::Malformed {
-                        op: 0,
-                        what: "frame execution failed on the counterexample",
-                    },
-                })
-            };
-            let ob = run(before, &mut mem_b)?;
-            let oa = run(after, &mut mem_a)?;
-            let diverged = if ob.committed() != oa.committed() {
-                true
-            } else if let (
-                crate::exec::FrameOutcome::Committed { live_outs: lb, .. },
-                crate::exec::FrameOutcome::Committed { live_outs: la, .. },
-            ) = (&ob, &oa)
-            {
-                lb.iter().zip(la).any(|(x, y)| x.to_bits() != y.to_bits())
-                    || !mem_a.diff(&mem_b.snapshot()).is_empty()
-            } else {
-                false // both aborted and rolled back: equivalent here
-            };
-            let verdict = if diverged {
-                CertVerdict::Refuted(CounterExample {
-                    live_ins,
-                    mem_seed: seeds,
-                })
-            } else {
-                CertVerdict::Unsupported {
-                    why: "candidate counterexample did not replay as a divergence".into(),
-                }
-            };
-            Ok(Certificate { verdict, stats })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,18 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_pair_identity_is_proved() {
-        let (_, frame) = straightline();
-        let cert = certify_frame_pair(&frame, &frame, &CertConfig::default()).expect("certify");
-        assert_eq!(cert.verdict, CertVerdict::Proved);
-    }
-
-    #[test]
     fn malformed_forward_reference_is_a_typed_error() {
-        let (_, mut frame) = straightline();
+        let (func, mut frame) = straightline();
         // Op 0 referencing op 0 is a cyclic (self) def.
         frame.ops[0].args = vec![crate::frame::FrameValue::Op(0)];
-        let err = certify_frame_pair(&frame, &frame, &CertConfig::default()).unwrap_err();
+        let err = certify_frame(&func, &frame, &CertConfig::default()).unwrap_err();
         assert!(matches!(err, SymEqError::Malformed { op: 0, .. }));
     }
 }

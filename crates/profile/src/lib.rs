@@ -26,6 +26,6 @@ pub use bl::{BlError, BlNumbering, DagEdge};
 pub use profiler::{
     build_numberings, EdgeProfile, EdgeProfiler, PathProfile, PathProfiler, SharedNumberings,
 };
-pub use rank::{rank_functions, rank_paths, FunctionRank, RankedPath};
+pub use rank::{rank_paths, FunctionRank, RankedPath};
 pub use sampling::SamplingProfiler;
 pub use stats::{bias_histogram, control_flow_stats, BiasHistogram, ControlFlowStats};

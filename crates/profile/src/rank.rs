@@ -120,25 +120,6 @@ pub fn rank_paths(func: &Function, numbering: &BlNumbering, profile: &PathProfil
     FunctionRank { paths, fwt }
 }
 
-/// Rank every profiled function of a module by its function weight
-/// `Fwt = Σ Pwt` (the paper reports "the highest ranked function by
-/// weight"). Returns `(function, Fwt)` pairs sorted descending.
-pub fn rank_functions(
-    module: &needle_ir::Module,
-    profiler: &crate::profiler::PathProfiler,
-) -> Vec<(needle_ir::FuncId, u128)> {
-    let mut out: Vec<(needle_ir::FuncId, u128)> = profiler
-        .functions()
-        .filter_map(|f| {
-            let numbering = profiler.numbering(f)?;
-            let rank = rank_paths(module.func(f), numbering, &profiler.profile(f));
-            Some((f, rank.fwt))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,33 +216,6 @@ mod tests {
         assert!(top.pwt == top.freq as u128 * top.ops as u128);
         // overlap: every loop path shares the head block.
         assert!(rank.overlapping_paths(5) >= 2);
-    }
-
-    #[test]
-    fn function_ranking_orders_by_weight() {
-        // callee does 10x the work of the caller's own body
-        let mut m = Module::new("t");
-        let mut fb = FunctionBuilder::new("hot", &[Type::I64], Some(Type::I64));
-        let mut x = fb.arg(0);
-        for _ in 0..30 {
-            x = fb.add(x, Value::int(1));
-        }
-        fb.ret(Some(x));
-        let hot = m.push(fb.finish());
-        let mut fb = FunctionBuilder::new("cold", &[Type::I64], Some(Type::I64));
-        let r = fb.call(hot, Type::I64, &[fb.arg(0)]);
-        fb.ret(Some(r));
-        let cold = m.push(fb.finish());
-
-        let mut prof = PathProfiler::new(&m);
-        let mut mem = Memory::new();
-        Interp::new(&m)
-            .run(cold, &[Constant::Int(1)], &mut mem, &mut prof)
-            .unwrap();
-        let ranking = rank_functions(&m, &prof);
-        assert_eq!(ranking.len(), 2);
-        assert_eq!(ranking[0].0, hot);
-        assert!(ranking[0].1 > ranking[1].1);
     }
 
     #[test]

@@ -3,23 +3,22 @@
 //!
 //! The first half replays `tests/corpus/dce_live_store.needle` — the
 //! regression shape for the "side-effecting op treated as dead" class of
-//! optimizer bug. The certifier must refute the miscompiled frame with a
-//! counterexample that replays as a *real* divergence between the two
-//! frames, and the fixed certified DCE pass must prove and keep the
-//! valid transformation.
+//! miscompile. The certifier must prove the frame built from the corpus
+//! region, and refute the frame with the store dropped, with a
+//! counterexample that replays as a *real* divergence from the source
+//! region.
 //!
 //! The second half mirrors the IR parser's malformed-program corpus at
 //! the frame layer: structurally broken frames (undefined slots, forward
 //! references, missing operands, bogus guard indices) must surface as
-//! typed errors from every consumer — `validate`, the optimizer passes,
-//! the executor, and the certifier — and never panic.
+//! typed errors from every consumer — `validate`, the executor, and the
+//! certifier — and never panic.
 
 use std::path::Path;
 
 use needle_frames::{
-    apply_guard_policy, build_frame, certify_frame, certify_frame_pair, dce_frame,
-    dce_frame_certified, run_frame, CertConfig, CertVerdict, Frame, FrameOpKind, FrameValue,
-    GuardPolicy,
+    build_frame, certify_frame, run_frame, verify_invocation, CertConfig, CertVerdict, Frame,
+    FrameOpKind, FrameValue,
 };
 use needle_ir::interp::{Memory, Val};
 use needle_ir::parse::parse_module;
@@ -42,9 +41,9 @@ fn corpus_frame(func: &Function) -> Frame {
     frame
 }
 
-/// Drop the store the way the historical DCE bug did: its result is
-/// unused, so a liveness pass that forgets side effects rewrites it to
-/// dead arithmetic.
+/// Drop the store the way a dead-code pass that forgets side effects
+/// would: its result is unused, so the store is rewritten to dead
+/// arithmetic.
 fn drop_live_store(frame: &mut Frame) {
     let at = frame
         .ops
@@ -64,47 +63,37 @@ fn drop_live_store(frame: &mut Frame) {
 fn committed_dce_repro_is_refuted_with_replayable_counterexample() {
     let module = corpus_module();
     let func = module.func(FuncId(0));
-    let before = corpus_frame(func);
+    let frame = corpus_frame(func);
 
-    // The fixed certified DCE pass keeps the store and proves the result.
-    let mut cleaned = before.clone();
-    let pass = dce_frame_certified(&mut cleaned, &CertConfig::default()).expect("dce runs");
+    // The frame built from the corpus region is equivalent to it.
+    let cert = certify_frame(func, &frame, &CertConfig::default()).expect("certifier runs");
     assert!(
-        matches!(pass.cert.verdict, CertVerdict::Proved),
-        "certified DCE on the corpus frame must prove: {:?}",
-        pass.cert.verdict
-    );
-    assert!(
-        cleaned
-            .ops
-            .iter()
-            .any(|o| matches!(o.kind, FrameOpKind::Store)),
-        "DCE must not remove the live store"
+        matches!(cert.verdict, CertVerdict::Proved),
+        "the corpus frame must prove: {:?}",
+        cert.verdict
     );
 
-    // The buggy transformation is refuted with a concrete counterexample.
-    let mut broken = before.clone();
+    // The frame with its live store dropped is refuted with a concrete
+    // counterexample.
+    let mut broken = frame.clone();
     drop_live_store(&mut broken);
-    let cert =
-        certify_frame_pair(&before, &broken, &CertConfig::default()).expect("certifier runs");
+    let cert = certify_frame(func, &broken, &CertConfig::default()).expect("certifier runs");
     let CertVerdict::Refuted(cex) = cert.verdict else {
         panic!("dropped live store must be refuted, got {:?}", cert.verdict);
     };
 
-    // Replay the counterexample: the two frames must observably diverge
-    // on exactly those inputs.
-    let mut mem_a = Memory::new();
+    // Replay the counterexample: the broken frame must observably
+    // diverge from the source region on exactly those inputs.
+    let mut mem = Memory::new();
     for &(addr, bits) in &cex.mem_seed {
-        mem_a.store(addr, Val::from_bits(bits, Type::I64));
+        mem.store(addr, Val::from_bits(bits, Type::I64));
     }
-    let mut mem_b = mem_a.clone();
-    let run_a = run_frame(&before, &cex.live_ins, &mut mem_a).expect("original frame runs");
-    let run_b = run_frame(&broken, &cex.live_ins, &mut mem_b).expect("broken frame runs");
-    let diverged = run_a.committed() != run_b.committed()
-        || !mem_a.same_as(&mem_b.snapshot())
-        || format!("{:?}", run_a) != format!("{:?}", run_b);
+    let snapshot = mem.snapshot();
+    let outcome = run_frame(&broken, &cex.live_ins, &mut mem).expect("broken frame runs");
+    let verdict = verify_invocation(func, &broken, &cex.live_ins, &snapshot, &mem, &outcome)
+        .expect("reference region runs");
     assert!(
-        diverged,
+        !verdict.is_clean(),
         "counterexample {cex:?} did not replay as a divergence"
     );
 }
@@ -192,12 +181,6 @@ fn malformed_frame_corpus_yields_typed_errors_never_panics() {
         // harmless no-op), never a panic. The assertions are the calls
         // themselves: a panic fails the test with the case visible in
         // the backtrace.
-        let mut f1 = frame.clone();
-        let _ = dce_frame(&mut f1);
-        let mut f2 = frame.clone();
-        let _ = apply_guard_policy(&mut f2, GuardPolicy::Late);
-        let mut f3 = frame.clone();
-        let _ = apply_guard_policy(&mut f3, GuardPolicy::Early);
         let mut mem = Memory::new();
         let _ = run_frame(&frame, &live_ins, &mut mem);
         let _ = certify_frame(func, &frame, &CertConfig::quick());
